@@ -41,6 +41,7 @@ from .garside import (
     super_summit_set,
 )
 from .harness import (
+    BoundaryReport,
     BoundarySummary,
     EmbeddingMergeError,
     SuiteConfig,
@@ -68,6 +69,7 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BoundaryReport",
     "BoundarySummary",
     "BraidWord",
     "ClassificationResult",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bench as bench_mod
 from . import harness
 from ._kernel import backend_name
 from .curves import classify, round_span
@@ -88,12 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxlen", type=int, default=10)
     p.add_argument("--format", choices=("text", "records", "json"), default="text")
 
-    p = sub.add_parser("bench", help="compare the kernel backends on an (n, length) grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--maxlen", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
     return parser
 
 
@@ -154,31 +147,32 @@ def _cmd_verify(args) -> int:
         max_sss=args.max_sss,
         max_skip_rate=args.max_skip_rate,
     )
-    summary = harness.verify_nonmerging(cfg)
-    if args.format == "records":
-        sys.stdout.write(harness.render_records(summary, include_times=args.times))
-    elif args.format == "json":
-        sys.stdout.write(harness.render_json(summary, include_times=args.times))
-    else:
-        sys.stdout.write(harness.render_text(summary))
-    return summary.exit_code
+    return _write_report(args, harness.verify_nonmerging(cfg))
 
 
 def _cmd_boundary(args) -> int:
     summary = harness.boundary_suite(args.m, args.n, args.trials, args.seed, maxlen=args.maxlen)
-    if args.format == "records":
-        sys.stdout.write(harness.render_boundary_records(summary))
-    elif args.format == "json":
-        sys.stdout.write(harness.render_boundary_json(summary))
+    return _write_report(args, summary)
+
+
+_RENDERERS = {
+    ("verify-nonmerging", "text"): harness.render_text,
+    ("verify-nonmerging", "records"): harness.render_records,
+    ("verify-nonmerging", "json"): harness.render_json,
+    ("boundary-suite", "text"): harness.render_boundary_text,
+    ("boundary-suite", "records"): harness.render_boundary_records,
+    ("boundary-suite", "json"): harness.render_boundary_json,
+}
+
+
+def _write_report(args, summary) -> int:
+    render = _RENDERERS[args.command, args.format]
+    # --times exists only for verify-nonmerging; its text format always shows times.
+    if getattr(args, "times", False) and args.format != "text":
+        sys.stdout.write(render(summary, include_times=True))
     else:
-        sys.stdout.write(harness.render_boundary_text(summary))
+        sys.stdout.write(render(summary))
     return summary.exit_code
-
-
-def _cmd_bench(args) -> int:
-    rows = bench_mod.run_bench(args.n, args.maxlen, args.trials, args.seed)
-    sys.stdout.write(bench_mod.render_rows(rows))
-    return 0
 
 
 _COMMANDS = {
@@ -189,7 +183,6 @@ _COMMANDS = {
     "classify": _cmd_classify,
     "verify-nonmerging": _cmd_verify,
     "boundary-suite": _cmd_boundary,
-    "bench": _cmd_bench,
 }
 
 

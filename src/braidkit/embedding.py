@@ -15,7 +15,7 @@ here.
 
 from __future__ import annotations
 
-from .curves import FreeWord, artin_action
+from .curves import DEFAULT_IMAGE_LIMIT, FreeWord, artin_action
 from .words import BraidWord, concat, invert_word
 
 __all__ = ["embed_general", "embed_standard", "is_in_standard_image"]
@@ -43,12 +43,15 @@ def is_in_standard_image(x: BraidWord, m: int) -> bool:
     generated by x_1..x_m. Sound by construction for embedded words;
     completeness rests on the classical characterization of braid
     automorphisms and is validated here only by sampling.
+
+    Raises ResourceLimitError when a generator's image outgrows
+    DEFAULT_IMAGE_LIMIT letters, which long pseudo-Anosov words reach.
     """
     n = x.strands
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got {m}")
     for j in range(1, n + 1):
-        image = artin_action(x, FreeWord(n, (j,)))
+        image = artin_action(x, FreeWord(n, (j,)), max_letters=DEFAULT_IMAGE_LIMIT)
         if j > m:
             if image.letters != (j,):
                 return False

@@ -214,10 +214,10 @@ class NormalForm:
 @dataclasses.dataclass(frozen=True)
 class ConjugacyCertificate:
     """A conjugating element ``c`` with ``c * a * c^-1 = b`` for the pair
-    it certifies, plus the result of re-checking that equation."""
+    it certifies. are_conjugate re-checks the equation before returning
+    one, and raises if it fails."""
 
     conjugator: BraidWord
-    verified: bool
 
     def verifies(self, a: BraidWord, b: BraidWord) -> bool:
         """Re-run the conjugation equation through equal_words."""
@@ -560,7 +560,7 @@ def are_conjugate(
     assert isinstance(found, tuple)
     conj_key = _mul(n, _inv(n, b_track), found)
     conjugator = BraidWord(n, _word_of_key(n, conj_key))
-    certificate = ConjugacyCertificate(conjugator, verified=True)
+    certificate = ConjugacyCertificate(conjugator)
     if not certificate.verifies(a, b):
         raise RuntimeError("internal error: conjugacy certificate failed verification")
     return certificate

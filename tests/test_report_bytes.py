@@ -1,0 +1,95 @@
+"""Exact bytes of every suite report format, pinned by sha256.
+
+The other report tests compare two runs with each other, so a change that
+alters the bytes of every run alike would pass them. These pin the bytes
+themselves, for the library renderers and for the command line. The
+text format shows wall-clock times, so it is pinned with
+each "(N us / N us)" masked.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import re
+
+import pytest
+
+from braidkit import SuiteConfig, boundary_suite, verify_nonmerging
+from braidkit.cli import main
+from braidkit.harness import (
+    render_boundary_json,
+    render_boundary_records,
+    render_boundary_text,
+    render_json,
+    render_records,
+    render_text,
+)
+
+TIMES = re.compile(r"\(\d+ us / \d+ us\)")
+
+SUITES = {
+    "plain": lambda: verify_nonmerging(SuiteConfig(m=2, n=3, trials=12, maxlen=8, seed=99)),
+    "general": lambda: verify_nonmerging(
+        SuiteConfig(m=2, n=3, trials=12, maxlen=8, seed=99, general_conj_len=4)
+    ),
+    # max_sss=1 skips most conjugate pairs of B_3 words; exit code 3.
+    "skips": lambda: verify_nonmerging(
+        SuiteConfig(m=3, n=4, trials=12, maxlen=8, seed=5, conjugate_fraction=0.75, max_sss=1)
+    ),
+    "boundary": lambda: boundary_suite(2, 4, 12, seed=1, maxlen=8),
+}
+
+RENDERERS = {
+    "records": render_records,
+    "json": render_json,
+    "text": lambda summary: TIMES.sub("(N us / N us)", render_text(summary)),
+    "boundary-records": render_boundary_records,
+    "boundary-json": render_boundary_json,
+    "boundary-text": render_boundary_text,
+}
+
+EXPECTED = {
+    ("plain", "records"): "9973d0cc05a0ad99adaa8bbff637532c6996d898d31764db0b519d090c11f7a7",
+    ("plain", "json"): "92db080cf01226bf5260ab2d7f46af77e83a57ca9f40bfdfe3a6230ef35550cc",
+    ("plain", "text"): "65938c4f38d5ded620ab4898ac831ddf223198555e50268b288d47e4bf1c041e",
+    ("general", "records"): "78009ef9fae8fa3fa3a71490b0f710ff9905e7e3aff73a17e8a7a3f83f0cb4b6",
+    ("general", "json"): "6bfd19b394246750c5cdd6ca07e814fa2c03a5993321a20316ac38b7a390e387",
+    ("general", "text"): "b13d23c7b866a3f935564b17bd4f1a031e634ed80b463ad6edcae90a66dda9ad",
+    ("skips", "records"): "e8b960d559c39d6df0579e2a56393b3f5e403a567bdb2b70224bb742dc21f57c",
+    ("skips", "json"): "e852c8334bcf00844082f63538fd308908554d0cd9a43166bc140e6207b3f7b7",
+    ("skips", "text"): "d8508201fd94284ce49adc53ac563c692141c3712384491c79ff80a7d69f17f7",
+    ("boundary", "boundary-records"):
+        "4a61c277325b5161d051ea5bd26edacb7da2c312aba8c7c7c627abbe89157782",
+    ("boundary", "boundary-json"):
+        "6b5cb9ab7486b94ac1fb8fe2be8e2f5fa7dc302e7271d7784c4f53ee71c87380",
+    ("boundary", "boundary-text"):
+        "26df4bdcdebc739bfb2008f939a41d0ec47db4215a0f2ebca895bd3ebe402775",
+}
+
+
+@functools.cache
+def _summary(suite):
+    return SUITES[suite]()
+
+
+@pytest.mark.parametrize("suite, fmt", sorted(EXPECTED))
+def test_report_bytes(suite, fmt):
+    text = RENDERERS[fmt](_summary(suite))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED[suite, fmt], text
+
+
+# Command lines that run the "plain" and "boundary" suites above.
+COMMANDS = {
+    "plain": "verify-nonmerging --m 2 --n 3 --trials 12 --maxlen 8 --seed 99",
+    "boundary": "boundary-suite --m 2 --n 4 --trials 12 --seed 1 --maxlen 8",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(COMMANDS))
+@pytest.mark.parametrize("fmt", ["records", "json", "text"])
+def test_cli_output_bytes(capsys, suite, fmt):
+    assert main(COMMANDS[suite].split() + ["--format", fmt]) == 0
+    out = TIMES.sub("(N us / N us)", capsys.readouterr().out)
+    key = fmt if suite == "plain" else f"boundary-{fmt}"
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED[suite, key], out
