@@ -3,7 +3,8 @@
 The compiled kernels in ``braidkit._speedups`` are preferred when the
 extension built; otherwise the pure-Python twins in ``braidkit._native``
 take over transparently. Set ``BRAIDKIT_PURE=1`` in the environment to
-force the pure backend (used by the benchmark and the parity tests).
+force the pure backend. The backend-selection tests set it; the parity
+tests import both backends directly.
 """
 
 from __future__ import annotations

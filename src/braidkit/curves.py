@@ -31,10 +31,9 @@ from .garside import (
     DEFAULT_SSS_LIMIT,
     ResourceLimitError,
     _key_of_nf,
-    _mul,
-    _pow,
+    _nf_of_word,
+    _powers,
     _simple_letters,
-    is_delta_power,
     super_summit_set,
 )
 from .words import BraidWord, concat, permutation_of_word
@@ -251,25 +250,21 @@ def image_curve_class(w: BraidWord, c: CurveClass, max_letters: int | None = Non
     return CurveClass(c.rank, artin_action(w, c.representative, max_letters=max_letters))
 
 
-def _word_power(w: BraidWord, k: int) -> BraidWord:
-    return concat(*([w] * k)) if k > 0 else BraidWord(w.strands)
-
-
 def is_periodic(w: BraidWord) -> bool:
     """True iff some power of ``w`` is a power of Delta.
 
     Checking w^n and w^(n-1) suffices: periodic braids are conjugates of
     powers of the two rotation braids, whose n-th resp. (n-1)-th powers
     are full twists. Accepting odd Delta powers is sound, since
-    w^N = Delta^j gives the central w^(2N) = Delta^(2j).
+    w^N = Delta^j gives the central w^(2N) = Delta^(2j). The powers are
+    products of normal forms, and a power of Delta is a normal form
+    without factors.
     """
     n = w.strands
     if n == 1:
         return True
-    for k in (n, n - 1):
-        if k >= 1 and is_delta_power(_word_power(w, k)) is not None:
-            return True
-    return False
+    powers = _powers(n, _nf_of_word(w), n)
+    return not powers[n - 1][1] or not powers[n - 2][1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -372,7 +367,9 @@ def classify(
     can only preserve a curve whose puncture set the element's
     permutation fixes at power k, and preservation itself is decided by
     the factor walk of :func:`_preserves_round_curve`, which never builds
-    large free-group words.
+    large free-group words. The powers are normal forms, computed once
+    per summit element, when the scan first needs them, and reused for
+    every curve.
 
     Raises ResourceLimitError if the summit set outgrows ``max_sss``.
     ``max_letters`` only guards the final witness re-verification.
@@ -383,23 +380,22 @@ def classify(
     if is_periodic(w):
         return ClassificationResult("periodic")
     sss = super_summit_set(w, max_size=max_sss)
-    keys = [_key_of_nf(element) for element in sss.elements]
     perms = [permutation_of_word(element.word()) for element in sss.elements]
+    powers: list[list[tuple[int, bytes]] | None] = [None] * len(sss)
     for curve, (i, j) in _round_curves(n):
         punctures = set(range(i, j + 1))
-        for element, key, perm in zip(sss.elements, keys, perms):
+        for index, (element, perm) in enumerate(zip(sss.elements, perms)):
             period = _puncture_orbit_period(perm, punctures, n)
             if period is None:
                 continue
-            base = _pow(n, key, period)
-            power_key = base
+            element_powers = powers[index]
+            if element_powers is None:
+                element_powers = powers[index] = _powers(n, _key_of_nf(element), n)
             for k in range(period, n + 1, period):
-                if _preserves_round_curve(n, power_key, i, j):
+                if _preserves_round_curve(n, element_powers[k - 1], i, j):
                     conjugator = sss.conjugators[element]
-                    witness_word = _word_power(element.word(), k)
+                    witness_word = concat(*[element.word()] * k)
                     if not preserves_curve_class(witness_word, curve, max_letters=max_letters):
                         raise RuntimeError("internal error: witness failed re-verification")
                     return ClassificationResult("reducible", curve, k, conjugator)
-                if k + period <= n:
-                    power_key = _mul(n, power_key, base)
     return ClassificationResult("pseudo_anosov")

@@ -91,6 +91,11 @@ def _inv_flat(perm: bytes) -> bytes:
     return bytes(inv)
 
 
+def _complement(perm: bytes) -> bytes:
+    """The simple element Delta A^-1, so that A^-1 = Delta^-1 (Delta A^-1)."""
+    return _inv_flat(perm)[::-1]
+
+
 def _tau_one(n: int, perm: bytes) -> bytes:
     """Flip automorphism on one factor: tau(A)(k) = n-1-A(n-1-k)."""
     return bytes(n - 1 - perm[n - 1 - t] for t in range(n))
@@ -256,28 +261,24 @@ def _assemble(n: int, items: list[tuple[int, bytes]], tail_shift: int = 0) -> tu
     return acc, b"".join(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _letter_items(n: int) -> dict[int, tuple[int, bytes]]:
+    """The ``(Delta shift, factor)`` item of every letter of B_n: sigma_i
+    is the transposition of i and i+1, and sigma_i^-1 = Delta^-1 (Delta sigma_i^-1)."""
+    items: dict[int, tuple[int, bytes]] = {}
+    for i in range(1, n):
+        swap = bytearray(_id_flat(n))
+        swap[i - 1], swap[i] = swap[i], swap[i - 1]
+        items[i] = (0, bytes(swap))
+        items[-i] = (-1, _complement(items[i][1]))
+    return items
+
+
 def _letters_to_factors(n: int, letters: tuple[int, ...]) -> tuple[int, bytes]:
-    """Rewrite each negative letter via sigma_i^-1 = Delta^-1 (Delta sigma_i^-1)
-    and assemble; the result still needs kernel normalization."""
-    items: list[tuple[int, bytes]] = []
-    for letter in letters:
-        i = abs(letter) - 1
-        if letter > 0:
-            perm = bytearray(_id_flat(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            items.append((0, bytes(perm)))
-        else:
-            # (Delta sigma_i^-1)(k) = swap_{i,i+1}(n-1-k)
-            perm = bytearray(n)
-            for k in range(n):
-                v = n - 1 - k
-                if v == i:
-                    v = i + 1
-                elif v == i + 1:
-                    v = i
-                perm[k] = v
-            items.append((-1, bytes(perm)))
-    return _assemble(n, items)
+    """Assemble the per-letter items; the result still needs kernel
+    normalization."""
+    items = _letter_items(n)
+    return _assemble(n, [items[letter] for letter in letters])
 
 
 def _nf_of_word(w: BraidWord) -> _NfKey:
@@ -321,38 +322,23 @@ def _inv(n: int, x: _NfKey) -> _NfKey:
     """(Delta^p A_1..A_l)^-1 = prod over reversed factors of
     Delta^-1 (Delta A_j^-1), times the trailing Delta^-p."""
     p, flat = x
-    items = []
-    for off in range(len(flat) - n, -n, -n):
-        factor_inv = _inv_flat(flat[off : off + n])
-        items.append((-1, bytes(factor_inv[n - 1 - t] for t in range(n))))
+    items = [(-1, _complement(flat[off : off + n])) for off in range(len(flat) - n, -n, -n)]
     dp, dflat = _assemble(n, items, tail_shift=-p)
     return _kernel.normalize(n, dp, dflat)
 
 
-def _pow(n: int, x: _NfKey, k: int) -> _NfKey:
-    if k < 0:
-        return _pow(n, _inv(n, x), -k)
-    acc: _NfKey = (0, b"")
-    base = x
-    while k:
-        if k & 1:
-            acc = _mul(n, acc, base)
-        k >>= 1
-        if k:
-            base = _mul(n, base, base)
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def _simple_nf(n: int, s: bytes) -> _NfKey:
-    return _kernel.normalize(n, 0, s)
+def _powers(n: int, x: _NfKey, top: int) -> list[_NfKey]:
+    """Keys of x^1, ..., x^top, each the product of the one before and x."""
+    powers = [x]
+    for _ in range(top - 1):
+        powers.append(_mul(n, powers[-1], x))
+    return powers
 
 
 @functools.lru_cache(maxsize=None)
 def _simple_inv_nf(n: int, s: bytes) -> _NfKey:
     """Normal form of s^-1 = Delta^-1 * (Delta s^-1)."""
-    inv = _inv_flat(s)
-    return _kernel.normalize(n, -1, bytes(inv[n - 1 - t] for t in range(n)))
+    return _kernel.normalize(n, -1, _complement(s))
 
 
 # -- public operations -----------------------------------------------------------
@@ -454,7 +440,8 @@ def _drive_to_summit(n: int, key: _NfKey, track: _NfKey) -> tuple[_NfKey, _NfKey
     while key[1] and fails < bound:
         old_sup = key[0] + len(key[1])
         key, u = _decycle_key(n, key)
-        track = _mul(n, _simple_nf(n, u), track)
+        # A canonical factor is its own normal form.
+        track = _mul(n, (0, u), track)
         fails = 0 if key[0] + len(key[1]) < old_sup else fails + 1
     return key, track
 

@@ -130,6 +130,8 @@ class SuiteConfig:
             raise ValueError("general_conj_len must be >= 0")
         if self.max_sss < 1:
             raise ValueError("max_sss must be >= 1")
+        if not 0.0 <= self.max_skip_rate <= 1.0:
+            raise ValueError("max_skip_rate must lie in [0, 1]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -427,6 +429,10 @@ def boundary_suite(
     nontrivial embedded braids are never periodic."""
     if not n > m >= 2:
         raise ValueError(f"need n > m >= 2, got m={m}, n={n}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if maxlen < 0:
+        raise ValueError("maxlen must be >= 0")
     boundary = curve_class_round(1, m, n)
     identity = BraidWord(m)
     reports = []
@@ -459,7 +465,7 @@ def _trial_document(r: TrialReport) -> dict:
         "skip_reason": r.skip_reason,
         "conjugator_m": format_word(r.certificate_m.conjugator) if r.certificate_m else None,
         "conjugator_n": format_word(r.certificate_n.conjugator) if r.certificate_n else None,
-        "lifted_witness": format_word(r.lifted_witness) if r.lifted_witness else None,
+        "lifted_witness": None if r.lifted_witness is None else format_word(r.lifted_witness),
         "theorem_violation": r.theorem_violation,
         "time_m_us": r.time_m_us,
         "time_n_us": r.time_n_us,

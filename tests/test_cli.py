@@ -143,3 +143,24 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["verify-nonmerging", "--m", "2"])
         assert info.value.code == 2
+
+    # Each test adds the flag it checks; verify-nonmerging also needs --maxlen.
+    VERIFY = ("verify-nonmerging", "--m", "2", "--n", "3", "--trials", "4", "--seed", "1")
+    BOUNDARY = ("boundary-suite", "--m", "2", "--n", "3", "--seed", "1")
+
+    @pytest.mark.parametrize("rate", ["-0.5", "1.5"])
+    def test_max_skip_rate_out_of_range(self, capsys, rate):
+        code, out, err = run(capsys, *self.VERIFY, "--maxlen", "4", "--max-skip-rate", rate)
+        assert (code, out) == (2, "")
+        assert "max_skip_rate" in err
+
+    def test_boundary_needs_a_trial(self, capsys):
+        code, out, err = run(capsys, *self.BOUNDARY, "--trials", "0")
+        assert (code, out) == (2, "")
+        assert "trial" in err
+
+    @pytest.mark.parametrize("argv", [VERIFY, BOUNDARY + ("--trials", "4")])
+    def test_negative_maxlen(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--maxlen", "-1")
+        assert (code, out) == (2, "")
+        assert "maxlen" in err

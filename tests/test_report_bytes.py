@@ -51,13 +51,13 @@ RENDERERS = {
 
 EXPECTED = {
     ("plain", "records"): "9973d0cc05a0ad99adaa8bbff637532c6996d898d31764db0b519d090c11f7a7",
-    ("plain", "json"): "92db080cf01226bf5260ab2d7f46af77e83a57ca9f40bfdfe3a6230ef35550cc",
+    ("plain", "json"): "0c7744f0ad9d0da2689f92e646ec617a74211f09af6bce44c0dc9e26520586a0",
     ("plain", "text"): "65938c4f38d5ded620ab4898ac831ddf223198555e50268b288d47e4bf1c041e",
     ("general", "records"): "78009ef9fae8fa3fa3a71490b0f710ff9905e7e3aff73a17e8a7a3f83f0cb4b6",
-    ("general", "json"): "6bfd19b394246750c5cdd6ca07e814fa2c03a5993321a20316ac38b7a390e387",
+    ("general", "json"): "a6648d65bd5abd59ffb1f2435dd5e8298706d606368bbda342b6245d8d9b142b",
     ("general", "text"): "b13d23c7b866a3f935564b17bd4f1a031e634ed80b463ad6edcae90a66dda9ad",
     ("skips", "records"): "e8b960d559c39d6df0579e2a56393b3f5e403a567bdb2b70224bb742dc21f57c",
-    ("skips", "json"): "e852c8334bcf00844082f63538fd308908554d0cd9a43166bc140e6207b3f7b7",
+    ("skips", "json"): "070e6571b17932c4d238cbddc90e59b61907ca46c255a00e8ed6e61bbc626fe3",
     ("skips", "text"): "d8508201fd94284ce49adc53ac563c692141c3712384491c79ff80a7d69f17f7",
     ("boundary", "boundary-records"):
         "4a61c277325b5161d051ea5bd26edacb7da2c312aba8c7c7c627abbe89157782",
