@@ -30,13 +30,14 @@ import functools
 from .garside import (
     DEFAULT_SSS_LIMIT,
     ResourceLimitError,
-    _key_of_nf,
+    _check_cap,
     _nf_of_word,
     _powers,
     _simple_letters,
+    _word_of_key,
     super_summit_set,
 )
-from .words import BraidWord, concat, permutation_of_word
+from .words import BraidWord, permutation_of_word
 
 __all__ = [
     "ClassificationResult",
@@ -367,35 +368,33 @@ def classify(
     can only preserve a curve whose puncture set the element's
     permutation fixes at power k, and preservation itself is decided by
     the factor walk of :func:`_preserves_round_curve`, which never builds
-    large free-group words. The powers are normal forms, computed once
-    per summit element, when the scan first needs them, and reused for
-    every curve.
+    large free-group words. The scan reads the summit set's key pairs:
+    each element's powers are keys, computed once, when the scan first
+    needs them, and words are built only for the witness returned.
 
-    Raises ResourceLimitError if the summit set outgrows ``max_sss``.
-    ``max_letters`` only guards the final witness re-verification.
+    Raises ValueError if ``max_sss`` < 1, ResourceLimitError if the summit
+    set outgrows it. ``max_letters`` only guards the witness re-check.
     """
+    _check_cap(max_sss)
     n = w.strands
     if n < 2:
         raise ValueError("classification needs at least 2 strands")
     if is_periodic(w):
         return ClassificationResult("periodic")
     sss = super_summit_set(w, max_size=max_sss)
-    perms = [permutation_of_word(element.word()) for element in sss.elements]
-    powers: list[list[tuple[int, bytes]] | None] = [None] * len(sss)
+    perms = [permutation_of_word(BraidWord(n, _word_of_key(n, key))) for key, _ in sss.pairs]
+    powers = functools.cache(lambda key: _powers(n, key, n))
     for curve, (i, j) in _round_curves(n):
         punctures = set(range(i, j + 1))
-        for index, (element, perm) in enumerate(zip(sss.elements, perms)):
+        for (key, track), perm in zip(sss.pairs, perms):
             period = _puncture_orbit_period(perm, punctures, n)
             if period is None:
                 continue
-            element_powers = powers[index]
-            if element_powers is None:
-                element_powers = powers[index] = _powers(n, _key_of_nf(element), n)
             for k in range(period, n + 1, period):
-                if _preserves_round_curve(n, element_powers[k - 1], i, j):
-                    conjugator = sss.conjugators[element]
-                    witness_word = concat(*[element.word()] * k)
+                if _preserves_round_curve(n, powers(key)[k - 1], i, j):
+                    witness_word = BraidWord(n, _word_of_key(n, key) * k)
                     if not preserves_curve_class(witness_word, curve, max_letters=max_letters):
                         raise RuntimeError("internal error: witness failed re-verification")
+                    conjugator = BraidWord(n, _word_of_key(n, track))
                     return ClassificationResult("reducible", curve, k, conjugator)
     return ClassificationResult("pseudo_anosov")

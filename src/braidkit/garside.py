@@ -61,6 +61,7 @@ __all__ = [
 DEFAULT_SSS_LIMIT = 100_000
 
 _NfKey = tuple[int, bytes]
+_KeyPair = tuple[_NfKey, _NfKey]
 
 
 class ResourceLimitError(Exception):
@@ -232,14 +233,22 @@ class ConjugacyCertificate:
 @dataclasses.dataclass(frozen=True)
 class SuperSummitSet:
     """All conjugates with maximal inf and minimal sup, canonically
-    ordered, plus one verified conjugating word per element."""
+    ordered, as (element, verified conjugator) pairs of normal-form keys."""
 
     strands: int
-    elements: tuple[NormalForm, ...]
-    conjugators: dict[NormalForm, BraidWord]
+    pairs: tuple[_KeyPair, ...]
+
+    @functools.cached_property
+    def conjugators(self) -> dict[NormalForm, BraidWord]:
+        n = self.strands
+        return {_nf_public(n, k): BraidWord(n, _word_of_key(n, c)) for k, c in self.pairs}
+
+    @property
+    def elements(self) -> tuple[NormalForm, ...]:
+        return tuple(self.conjugators)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.pairs)
 
     def __iter__(self) -> Iterator[NormalForm]:
         return iter(self.elements)
@@ -419,16 +428,14 @@ def cycling(x: NormalForm, direction: str = "front") -> tuple[NormalForm, BraidW
     return _nf_public(n, new), conj
 
 
-_IDENTITY_TRACK: _NfKey = (0, b"")
-
-
-def _drive_to_summit(n: int, key: _NfKey, track: _NfKey) -> tuple[_NfKey, _NfKey]:
+def _drive_to_summit(n: int, key: _NfKey) -> _KeyPair:
     """Cycle until inf stops rising, then decycle until sup stops falling.
 
     Stop rule: n(n-1)/2 consecutive steps without improvement declare the
-    current value extremal. Both moves are conjugations; ``track`` keeps
-    track * w * track^-1 equal to the current element throughout.
+    current value extremal. Both moves are conjugations; ``track``, from
+    the identity on, keeps track * w * track^-1 equal to the current key.
     """
+    track: _NfKey = (0, b"")
     bound = max(1, n * (n - 1) // 2)
     fails = 0
     while key[1] and fails < bound:
@@ -452,25 +459,24 @@ def _all_simples(n: int) -> tuple[bytes, ...]:
     return tuple(bytes(p) for p in itertools.permutations(range(n)) if bytes(p) != _id_flat(n))
 
 
-def _summit_closure(
-    n: int,
-    seed: _NfKey,
-    seed_track: _NfKey,
-    max_size: int,
-    target: _NfKey | None = None,
-) -> dict[_NfKey, _NfKey] | _NfKey | None:
-    """Breadth-first closure of the summit set under conjugation by every
+def _check_cap(max_sss: int) -> None:
+    if max_sss < 1:
+        raise ValueError("max_sss must be >= 1")
+
+
+def _summit_closure(n: int, seed: _NfKey, seed_track: _NfKey, max_size: int) -> Iterator[_KeyPair]:
+    """Breadth-first walk of the summit set under conjugation by every
     simple element, keeping conjugates that preserve the seed's (inf, sup).
 
-    With a ``target``, returns that element's track as soon as it is
-    reached, or None if the closure completes without meeting it;
-    without one, returns the complete {element: track} map.
+    Yields each vertex once as ``(key, track)``, seed first, the track
+    extending ``seed_track``. A vertex is yielded before the cap check, so
+    a caller that stops at it never sees the cap; walking on past
+    ``max_size`` vertices raises ResourceLimitError.
     """
     inf0 = seed[0]
     len0 = len(seed[1])
     simples = _all_simples(n)
-    if target is not None and seed == target:
-        return seed_track
+    yield seed, seed_track
     seen: dict[_NfKey, _NfKey] = {seed: seed_track}
     queue: deque[_NfKey] = deque([seed])
     while queue:
@@ -480,43 +486,34 @@ def _summit_closure(
             if result[0] != inf0 or len(result[1]) != len0 or result in seen:
                 continue
             new_track = _mul(n, _simple_inv_nf(n, s), track)
-            if target is not None and result == target:
-                return new_track
+            yield result, new_track
             if len(seen) >= max_size:
                 raise ResourceLimitError("super summit set exceeded its cap", len(seen))
             seen[result] = new_track
             queue.append(result)
-    if target is not None:
-        return None
-    return seen
 
 
 def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSummitSet:
     """The full super summit set of ``w`` with one conjugator per element.
 
-    Elements come back in canonical order (delta power, factor count,
-    lexicographic factor images) and every conjugator ``c`` satisfies
-    ``c * w * c^-1 = element``; each one is re-verified before returning.
+    Every vertex of the summit closure is kept as a pair of keys, in
+    canonical order (delta power, factor count, lexicographic factor
+    images), and every conjugator ``c`` satisfies ``c * w * c^-1 =
+    element``; each one is re-verified on the keys before returning.
 
-    Raises ResourceLimitError when the set would exceed ``max_size``.
+    Raises ValueError when ``max_size`` < 1, ResourceLimitError when the
+    set would exceed it.
     """
+    _check_cap(max_size)
     n = w.strands
     w_key = _nf_of_word(w)
-    seed, seed_track = _drive_to_summit(n, w_key, _IDENTITY_TRACK)
-    seen = _summit_closure(n, seed, seed_track, max_size)
-    assert isinstance(seen, dict)
-    ordered = sorted(seen, key=lambda k: (k[0], len(k[1]), k[1]))
-    elements = []
-    conjugators: dict[NormalForm, BraidWord] = {}
-    for key in ordered:
-        track = seen[key]
-        check = _mul(n, _mul(n, track, w_key), _inv(n, track))
-        if check != key:
+    seed, seed_track = _drive_to_summit(n, w_key)
+    closure = _summit_closure(n, seed, seed_track, max_size)
+    pairs = sorted(closure, key=lambda pair: (pair[0][0], len(pair[0][1]), pair[0][1]))
+    for key, track in pairs:
+        if _mul(n, _mul(n, track, w_key), _inv(n, track)) != key:
             raise RuntimeError("internal error: summit conjugator failed verification")
-        element = _nf_public(n, key)
-        elements.append(element)
-        conjugators[element] = BraidWord(n, _word_of_key(n, track))
-    return SuperSummitSet(n, tuple(elements), conjugators)
+    return SuperSummitSet(n, tuple(pairs))
 
 
 def are_conjugate(
@@ -529,7 +526,10 @@ def are_conjugate(
     first; then both words are driven to their summits, whose (inf, sup)
     must agree; the verdict is membership of b's summit representative in
     the summit closure of a's, which doubles as the conjugator search.
+    Raises ValueError when ``max_sss`` < 1, ResourceLimitError when the
+    closure outgrows it before meeting b's summit.
     """
+    _check_cap(max_sss)
     if a.strands != b.strands:
         raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
     n = a.strands
@@ -537,14 +537,14 @@ def are_conjugate(
         return None
     if permutation_of_word(a).cycle_type() != permutation_of_word(b).cycle_type():
         return None
-    a_summit, a_track = _drive_to_summit(n, _nf_of_word(a), _IDENTITY_TRACK)
-    b_summit, b_track = _drive_to_summit(n, _nf_of_word(b), _IDENTITY_TRACK)
+    a_summit, a_track = _drive_to_summit(n, _nf_of_word(a))
+    b_summit, b_track = _drive_to_summit(n, _nf_of_word(b))
     if a_summit[0] != b_summit[0] or len(a_summit[1]) != len(b_summit[1]):
         return None
-    found = _summit_closure(n, a_summit, a_track, max_sss, target=b_summit)
+    closure = _summit_closure(n, a_summit, a_track, max_sss)
+    found = next((track for key, track in closure if key == b_summit), None)
     if found is None:
         return None
-    assert isinstance(found, tuple)
     conj_key = _mul(n, _inv(n, b_track), found)
     conjugator = BraidWord(n, _word_of_key(n, conj_key))
     certificate = ConjugacyCertificate(conjugator)

@@ -164,3 +164,19 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv, "--maxlen", "-1")
         assert (code, out) == (2, "")
         assert "maxlen" in err
+
+    # Equal words, words told apart by their exponent sums, a periodic and
+    # a pseudo-Anosov word: the cap is checked before any early answer.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("conj", "3: 1", "3: 1", "--max-sss", "-5"),
+            ("conj", "3: 1", "3: -1", "--max-sss", "0"),
+            ("classify", "3: 1 2", "--max-sss", "0"),
+            ("classify", "3: 1 -2", "--max-sss", "0"),
+        ],
+    )
+    def test_max_sss_below_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "max_sss" in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -17,12 +18,14 @@ from braidkit import (
     SimpleElement,
     SplitMix64,
     are_conjugate,
+    classify,
     concat,
     cycling,
     delta_simple,
     divisor_sets,
     equal_words,
     exponent_sum,
+    format_word,
     invert_word,
     is_delta_power,
     normal_form,
@@ -242,6 +245,23 @@ class TestSuperSummitSet:
         with pytest.raises(ResourceLimitError) as info:
             super_summit_set(BraidWord(3, (1, 1, 1)), max_size=1)
         assert info.value.partial_count == 1
+        # A closure that passes the cap has kept exactly max_size vertices.
+        w = random_word(4, 8, 0)
+        size = len(super_summit_set(w))
+        for cap in (1, 2, size // 2, size - 1):
+            with pytest.raises(ResourceLimitError) as info:
+                super_summit_set(w, max_size=cap)
+            assert info.value.partial_count == cap
+        assert len(super_summit_set(w, max_size=size)) == size
+
+    def test_cap_below_one_is_rejected(self):
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="max_sss must be >= 1"):
+                super_summit_set(BraidWord(3), max_size=cap)
+            with pytest.raises(ValueError, match="max_sss must be >= 1"):
+                are_conjugate(BraidWord(3, (1,)), BraidWord(3, (1,)), max_sss=cap)
+            with pytest.raises(ValueError, match="max_sss must be >= 1"):
+                classify(BraidWord(3, (1, 2)), max_sss=cap)
 
     def test_deterministic(self):
         w = random_word(4, 9, 5)
@@ -249,6 +269,19 @@ class TestSuperSummitSet:
         second = super_summit_set(w)
         assert first.elements == second.elements
         assert first.conjugators == second.conjugators
+
+    def test_golden(self):
+        """Elements in canonical order with their conjugator words, for 30
+        seeded words in B_3..B_5 (668 elements, each set under 1 s on the
+        pure-Python backend); the hash was computed before the summit set
+        moved onto normal-form keys and must not change."""
+        rows = []
+        for n, length in ((3, 8), (4, 8), (5, 6)):
+            for seed in range(10):
+                sss = super_summit_set(random_word(n, length, seed))
+                rows.append([(str(e), format_word(sss.conjugators[e])) for e in sss.elements])
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "e622c8d5ce0b11926db0f2f3a78a0d660fbe00d53cad44bc2434f75aff8d5482"
 
 
 class TestAreConjugate:
@@ -317,6 +350,14 @@ class TestAreConjugate:
         with pytest.raises(ResourceLimitError):
             are_conjugate(a, b, max_sss=1)
         assert are_conjugate(a, b) is not None
+
+    def test_target_past_the_cap_is_still_found(self):
+        # The summits of s1 and s2 are the two elements of one summit set.
+        # The search meets s2's as the vertex that would pass a cap of 1,
+        # and returns it before the cap fires.
+        a, b = BraidWord(3, (1,)), BraidWord(3, (2,))
+        cert = are_conjugate(a, b, max_sss=1)
+        assert cert is not None and cert.verifies(a, b)
 
 
 class TestNormalFormValidation:
