@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from collections import deque
 from typing import Iterator
 
@@ -329,11 +328,17 @@ def _mul(n: int, x: _NfKey, y: _NfKey) -> _NfKey:
 
 def _inv(n: int, x: _NfKey) -> _NfKey:
     """(Delta^p A_1..A_l)^-1 = prod over reversed factors of
-    Delta^-1 (Delta A_j^-1), times the trailing Delta^-p."""
+    Delta^-1 (Delta A_j^-1), times the trailing Delta^-p.
+
+    With the Delta powers pushed to the front this is Delta^(-p-l) times
+    the twisted complements of A_l, ..., A_1. That is already a left
+    normal form: the complement of a canonical factor is canonical, and
+    A_j | A_(j+1) left-weighted makes the pair of their twisted
+    complements, taken in reverse order, left-weighted.
+    """
     p, flat = x
     items = [(-1, _complement(flat[off : off + n])) for off in range(len(flat) - n, -n, -n)]
-    dp, dflat = _assemble(n, items, tail_shift=-p)
-    return _kernel.normalize(n, dp, dflat)
+    return _assemble(n, items, tail_shift=-p)
 
 
 def _powers(n: int, x: _NfKey, top: int) -> list[_NfKey]:
@@ -432,31 +437,179 @@ def _drive_to_summit(n: int, key: _NfKey) -> _KeyPair:
     """Cycle until inf stops rising, then decycle until sup stops falling.
 
     Stop rule: n(n-1)/2 consecutive steps without improvement declare the
-    current value extremal. Both moves are conjugations; ``track``, from
+    current value extremal. A move is deterministic, so a key that recurs
+    since the last improvement closes an orbit that cannot improve, and
+    stops the move at once. Both moves are conjugations; ``track``, from
     the identity on, keeps track * w * track^-1 equal to the current key.
     """
     track: _NfKey = (0, b"")
     bound = max(1, n * (n - 1) // 2)
     fails = 0
+    orbit = {key}
     while key[1] and fails < bound:
         old_inf = key[0]
         key, u = _cycle_key(n, key)
         track = _mul(n, _simple_inv_nf(n, u), track)
-        fails = 0 if key[0] > old_inf else fails + 1
+        if key[0] > old_inf:
+            fails = 0
+            orbit.clear()
+        elif key in orbit:
+            break
+        else:
+            fails += 1
+        orbit.add(key)
     fails = 0
+    orbit = {key}
     while key[1] and fails < bound:
         old_sup = key[0] + len(key[1])
         key, u = _decycle_key(n, key)
         # A canonical factor is its own normal form.
         track = _mul(n, (0, u), track)
-        fails = 0 if key[0] + len(key[1]) < old_sup else fails + 1
+        if key[0] + len(key[1]) < old_sup:
+            fails = 0
+            orbit.clear()
+        elif key in orbit:
+            break
+        else:
+            fails += 1
+        orbit.add(key)
     return key, track
 
 
+# -- the prefix order and minimal simple elements ---------------------------------
+#
+# A simple element s is a prefix of t (s <= t: s^-1 t is positive) iff the
+# position-inversion set of s, the pairs i < j with s[i] > s[j], lies in
+# that of t. A product s * u of simple elements whose lengths add is the
+# permutation k -> u[s[k]].
+
+
+def _inversions(perm: bytes) -> int:
+    """The position-inversion set of a simple element as a bitmask: bit
+    i*n + j is set iff i < j and perm[i] > perm[j]."""
+    n = len(perm)
+    below = [0] * n  # below[v]: the positions of the values under v
+    mask = 0
+    for v, pos in enumerate(_inv_flat(perm)):
+        below[v] = mask
+        mask |= 1 << pos
+    out = 0
+    for i, v in enumerate(perm):
+        out |= (below[v] & -(2 << i)) << (i * n)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
-def _all_simples(n: int) -> tuple[bytes, ...]:
-    """Every nontrivial simple element of B_n, in lexicographic order."""
-    return tuple(bytes(p) for p in itertools.permutations(range(n)) if bytes(p) != _id_flat(n))
+def _columns(n: int) -> tuple[int, ...]:
+    """Mask k selects the inversion bits (i, k), i < k."""
+    return tuple(sum(1 << (i * n + k) for i in range(k)) for k in range(n))
+
+
+def _closure_simple(n: int, inversions: int) -> bytes:
+    """The simple element whose inversion set is the transitive closure of
+    ``inversions``. For the union of two inversion sets that is their
+    join, the least common multiple in the prefix order."""
+    full = (1 << n) - 1
+    for i in range(n - 3, -1, -1):
+        # The rows below i are closed, so adding theirs closes row i.
+        row = pending = inversions >> (i * n) & full
+        while pending:
+            low = pending & -pending
+            row |= inversions >> ((low.bit_length() - 1) * n) & full
+            pending ^= low
+        inversions |= row << (i * n)
+    # The value at k counts the positions holding smaller values: the
+    # inversions (k, j) to its right and the non-inversions (i, k) to its left.
+    columns = _columns(n)
+    return bytes(
+        (inversions >> (k * n) & full).bit_count() + k - (inversions & columns[k]).bit_count()
+        for k in range(n)
+    )
+
+
+class _PushMemo:
+    """The pushes of one closure walk, memoized.
+
+    A walk meets the same few simple elements at vertex after vertex. The
+    memo keeps each once, with its inversion set, and keys each push by
+    the concatenation of its two elements, so it holds no copies. It
+    lives as long as the walk: a process-wide cache would keep them all.
+    """
+
+    def __init__(self) -> None:
+        self._pushes: dict[bytes, bytes] = {}
+        self._kept: dict[bytes, bytes] = {}
+        self._inversions: dict[bytes, int] = {}
+
+    def inversions(self, perm: bytes) -> int:
+        found = self._inversions.get(perm)
+        if found is None:
+            found = self._inversions[perm] = _inversions(perm)
+        return found
+
+    def push(self, a: bytes, f: bytes) -> bytes:
+        """f^-1 (a v f): the simple element y0 such that a <= f * y iff
+        y0 <= y, for every positive y."""
+        pair = a + f
+        pushed = self._pushes.get(pair)
+        if pushed is None:
+            joined = _closure_simple(len(f), self.inversions(a) | self.inversions(f))
+            quotient = bytearray(len(f))
+            for k, v in enumerate(f):
+                quotient[v] = joined[k]
+            pushed = bytes(quotient)
+            pushed = self._pushes[pair] = self._kept.setdefault(pushed, pushed)
+        return pushed
+
+
+def _minimal_simples(n: int, key: _NfKey, memo: _PushMemo) -> list[bytes]:
+    """The minimal simple elements of a summit element x, in atom order.
+
+    For each atom sigma_i, rho(sigma_i) is the least simple s >= sigma_i
+    with s^-1 x s in the super summit set. The minimal simple elements are
+    the prefix-minimal rho's, at most n-1 of them, and the summit set is
+    connected under them (Franco & Gonzalez-Meneses, "Conjugacy problem
+    for braid groups and Garside groups", J. Algebra 266, 2003).
+
+    For x = Delta^p x_1..x_r, inf(s^-1 x s) >= p iff tau^p(s) <= x_1..x_r s,
+    that is iff a, tau^p(s) pushed through x_1, ..., x_r, is a prefix of
+    s. Otherwise the join s v a is a larger lower bound for every
+    admissible s. The same test on x^-1 keeps sup, and rho(sigma_i) is
+    the first s, raised from sigma_i, that passes both tests.
+    """
+    identity = _id_flat(n)
+    sides = [
+        (p % 2, [flat[off : off + n] for off in range(0, len(flat), n)])
+        for p, flat in (key, _inv(n, key))
+    ]
+    rhos = []
+    for i in range(n - 1):
+        atom = bytearray(identity)
+        atom[i], atom[i + 1] = i + 1, i
+        s = bytes(atom)
+        settled = side = 0
+        while settled < 2:
+            odd, factors = sides[side]
+            side ^= 1
+            a = _tau_one(n, s) if odd else s
+            for f in factors:
+                if a == identity:  # the identity pushes to itself
+                    break
+                a = memo.push(a, f)
+            missing = memo.inversions(a) & ~memo.inversions(s)
+            if missing:
+                s = _closure_simple(n, memo.inversions(s) | missing)
+                settled = 0
+            else:
+                settled += 1
+        rhos.append(s)
+    # rho(sigma_j) <= rho(sigma_i) whenever sigma_j <= rho(sigma_i), so
+    # rho(sigma_i) is minimal iff every atom prefix of it has the same rho.
+    minimal: list[bytes] = []
+    for rho in rhos:
+        if rho not in minimal and all(rhos[j] == rho for j in range(n - 1) if rho[j] > rho[j + 1]):
+            minimal.append(rho)
+    return minimal
 
 
 def _check_cap(max_sss: int) -> None:
@@ -465,8 +618,8 @@ def _check_cap(max_sss: int) -> None:
 
 
 def _summit_closure(n: int, seed: _NfKey, seed_track: _NfKey, max_size: int) -> Iterator[_KeyPair]:
-    """Breadth-first walk of the summit set under conjugation by every
-    simple element, keeping conjugates that preserve the seed's (inf, sup).
+    """Breadth-first walk of the super summit set of ``seed``, a summit
+    element, under conjugation by each vertex's minimal simple elements.
 
     Yields each vertex once as ``(key, track)``, seed first, the track
     extending ``seed_track``. A vertex is yielded before the cap check, so
@@ -475,15 +628,18 @@ def _summit_closure(n: int, seed: _NfKey, seed_track: _NfKey, max_size: int) -> 
     """
     inf0 = seed[0]
     len0 = len(seed[1])
-    simples = _all_simples(n)
+    memo = _PushMemo()
     yield seed, seed_track
     seen: dict[_NfKey, _NfKey] = {seed: seed_track}
     queue: deque[_NfKey] = deque([seed])
     while queue:
         key = queue.popleft()
         track = seen[key]
+        simples = _minimal_simples(n, key, memo)
         for s, result in zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)):
-            if result[0] != inf0 or len(result[1]) != len0 or result in seen:
+            if result[0] != inf0 or len(result[1]) != len0:
+                raise RuntimeError("internal error: a minimal simple element left the summit set")
+            if result in seen:
                 continue
             new_track = _mul(n, _simple_inv_nf(n, s), track)
             yield result, new_track

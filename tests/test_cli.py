@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from braidkit import ConjugacyCertificate, parse_word
 from braidkit.cli import main
 
 
@@ -40,6 +41,16 @@ class TestOneShotCommands:
         lines = out.splitlines()
         assert lines[0] == "conjugate"
         assert lines[1].startswith("3:")
+
+    def test_conj_wide_group(self, capsys):
+        # The summit closure takes at most n-1 conjugations per vertex;
+        # trying every simple element of B_12 would take 479M of them.
+        code, out, _ = run(capsys, "conj", "12: 1", "12: 11")
+        assert code == 0
+        verdict, conjugator = out.splitlines()
+        assert verdict == "conjugate"
+        a, b = parse_word("12: 1"), parse_word("12: 11")
+        assert ConjugacyCertificate(parse_word(conjugator)).verifies(a, b)
 
     def test_conj_negative(self, capsys):
         code, out, _ = run(capsys, "conj", "3: 1", "3: -1")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import random
 
 import pytest
 from conftest import artin_oracle_equal, braid_word_pairs, braid_words, rewritten_equivalent
@@ -32,6 +34,18 @@ from braidkit import (
     permutation_of_word,
     random_word,
     super_summit_set,
+)
+from braidkit import _kernel
+from braidkit.garside import (
+    _complement,
+    _cycle_key,
+    _decycle_key,
+    _drive_to_summit,
+    _inv,
+    _letters_to_factors,
+    _minimal_simples,
+    _mul,
+    _PushMemo,
 )
 
 
@@ -271,17 +285,23 @@ class TestSuperSummitSet:
         assert first.conjugators == second.conjugators
 
     def test_golden(self):
-        """Elements in canonical order with their conjugator words, for 30
+        """Elements in canonical order and their conjugator words, for 30
         seeded words in B_3..B_5 (668 elements, each set under 1 s on the
-        pure-Python backend); the hash was computed before the summit set
-        moved onto normal-form keys and must not change."""
-        rows = []
+        pure-Python backend), pinned by two hashes. The element hash must
+        never change. The conjugator hash follows the closure's walk
+        order, because a conjugator is the track of the path that first
+        reached its element; it was re-pinned when the closure moved to
+        minimal simple elements."""
+        elements, conjugators = [], []
         for n, length in ((3, 8), (4, 8), (5, 6)):
             for seed in range(10):
                 sss = super_summit_set(random_word(n, length, seed))
-                rows.append([(str(e), format_word(sss.conjugators[e])) for e in sss.elements])
-        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "e622c8d5ce0b11926db0f2f3a78a0d660fbe00d53cad44bc2434f75aff8d5482"
+                elements.append([str(e) for e in sss.elements])
+                conjugators.append([format_word(sss.conjugators[e]) for e in sss.elements])
+        digest = hashlib.sha256(repr(elements).encode()).hexdigest()
+        assert digest == "84e34035c221935412dfa6d5b37d5862c20aacd097cd1412385eb7594a117e6e"
+        digest = hashlib.sha256(repr(conjugators).encode()).hexdigest()
+        assert digest == "b1662930090b5c04f142a29d663aac92e878732445694299ca56dc17d2073d35"
 
 
 class TestAreConjugate:
@@ -370,3 +390,79 @@ class TestNormalFormValidation:
     def test_rejects_delta_factor(self):
         with pytest.raises(ValueError):
             NormalForm(3, 0, (delta_simple(3),))
+
+
+def _word_key(w: BraidWord) -> tuple[int, bytes]:
+    return _kernel.normalize(w.strands, *_letters_to_factors(w.strands, w.letters))
+
+
+class TestKeyInverse:
+    def test_inverse_is_already_normal(self):
+        """The assembled inverse needs no normalization, and it inverts."""
+        rng = random.Random(6)
+        for _ in range(600):
+            n = rng.randint(2, 7)
+            x = _word_key(random_word(n, rng.randint(0, 12), rng.randrange(2**32)))
+            inverse = _inv(n, x)
+            assert _kernel.normalize(n, *inverse) == inverse
+            assert _mul(n, x, inverse) == (0, b"")
+
+
+class TestDriveToSummit:
+    @staticmethod
+    def bound_only(n: int, key: tuple[int, bytes]) -> tuple[int, int]:
+        """(inf, sup) after cycling, then decycling, until n(n-1)/2
+        consecutive steps bring no improvement."""
+        bound = max(1, n * (n - 1) // 2)
+        for step, better in ((_cycle_key, 1), (_decycle_key, -1)):
+            fails = 0
+            while key[1] and fails < bound:
+                old = key[0] if better > 0 else key[0] + len(key[1])
+                key, _ = step(n, key)
+                new = key[0] if better > 0 else key[0] + len(key[1])
+                fails = 0 if (new - old) * better > 0 else fails + 1
+        return key[0], key[0] + len(key[1])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_reaches_the_summit(self, n):
+        for seed in range(12):
+            w = random_word(n, 5, 300 + seed)
+            w_key = _word_key(w)
+            key, track = _drive_to_summit(n, w_key)
+            assert (key[0], key[0] + len(key[1])) == self.bound_only(n, w_key)
+            assert key in dict(super_summit_set(w).pairs)
+            assert _mul(n, _mul(n, track, w_key), _inv(n, track)) == key
+
+
+class TestMinimalSimples:
+    def test_match_brute_force(self):
+        """On every vertex of seeded summit sets in B_3..B_5, the minimal
+        simple elements are the prefix-minimal simple elements whose
+        conjugate stays in the summit set, found over all n! - 1 of them.
+        The prefix order here is read off the kernel: s <= t iff s^-1 t
+        has inf >= 0."""
+        vertices = 0
+        for n in (3, 4, 5):
+            simples = [bytes(p) for p in itertools.permutations(range(n))][1:]
+
+            @functools.cache
+            def prefix(s: bytes, t: bytes) -> bool:
+                return _kernel.normalize(n, -1, _complement(s) + t)[0] >= 0
+
+            for seed in range(8):
+                w = random_word(n, 6, 700 + seed)
+                for key, _ in super_summit_set(w).pairs:
+                    conjugates = _kernel.conjugate_batch(n, key[0], key[1], simples)
+                    hits = [
+                        s
+                        for s, (p, flat) in zip(simples, conjugates)
+                        if p == key[0] and len(flat) == len(key[1])
+                    ]
+                    expected = {
+                        s for s in hits if not any(t != s and prefix(t, s) for t in hits)
+                    }
+                    found = _minimal_simples(n, key, _PushMemo())
+                    assert len(found) == len(set(found)) <= n - 1
+                    assert set(found) == expected
+                    vertices += 1
+        assert vertices > 300
