@@ -1,9 +1,11 @@
 """Pure-Python permutation-braid kernels.
 
 ``braidkit._speedups`` is the compiled twin of this module;
-``braidkit._kernel`` selects one of the two at import time. The two
-implementations must stay in lockstep and return bit-identical results
-(tests/test_kernel.py checks this on random inputs).
+``braidkit._kernel`` selects one of the two at import time. The twins
+agree on results, not on algorithm: the left normal form is unique, so
+both return bit-identical keys (tests/test_kernel.py checks this on
+random inputs), but this module slides each appended factor leftward
+once where the compiled kernel repeats full passes until nothing moves.
 
 Data layout: a canonical factor of B_n is a permutation of
 ``{0, ..., n-1}`` stored as ``n`` bytes, image of ``k`` at offset ``k``.
@@ -39,15 +41,18 @@ def _is_id(buf: bytearray, off: int, n: int) -> bool:
     return True
 
 
-def normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
-    """Left-weight a factor sequence; absorb Delta factors, drop trivial ones.
+def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, bytes]:
+    """Normal form of Delta^delta * flat whose first ``start`` factors are
+    already left-weighted.
 
-    One sliding pass visits each adjacent pair (A, B) in order and, while
-    some index i is a descent of B but not of A^-1, moves the crossing i
-    from the front of B to the back of A (smallest eligible i first).
-    Passes repeat until one makes no change; at that point every leading
-    factor equal to Delta migrates into the Delta power and every
-    trailing identity factor is dropped.
+    Each later factor is appended in turn and slid leftward: the pair
+    (A, B) moves crossings from the front of B to the back of A, smallest
+    eligible index i first, while some i is a descent of B but not of
+    A^-1; then the pair before it, whose right factor has grown, and so
+    on, stopping at the first pair that does not change (El-Rifai &
+    Morton, "Algorithms for positive braids", Quart. J. Math. 45, 1994).
+    At the end every leading factor equal to Delta migrates into the
+    Delta power and every trailing identity factor is dropped.
     """
     if n == 1:
         # B_1 is trivial and Delta is the identity, so everything collapses.
@@ -57,18 +62,15 @@ def normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
         return delta, b""
     buf = bytearray(flat)
     inv = bytearray(n)
-    changed = True
-    passes = 0
-    while changed:
-        changed = False
-        passes += 1
-        if passes > m + 2:  # one pass per factor suffices; +2 is slack
-            raise RuntimeError("factor sliding failed to converge")
-        for k in range(m - 1):
-            a = k * n
-            b = a + n
+    # Each move lengthens A and shortens B by one crossing, and a simple
+    # element has at most n(n-1)/2 of them.
+    bound = n * (n - 1) // 2
+    for b in range(max(start, 1) * n, m * n, n):
+        while b:
+            a = b - n
             for t in range(n):
                 inv[buf[a + t]] = t
+            moves = 0
             while True:
                 move = -1
                 for i in range(n - 1):
@@ -77,7 +79,9 @@ def normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
                         break
                 if move < 0:
                     break
-                changed = True
+                moves += 1
+                if moves > bound:
+                    raise RuntimeError("factor sliding failed to converge")
                 # Strip crossing `move` from the front of B: swap entries.
                 buf[b + move], buf[b + move + 1] = buf[b + move + 1], buf[b + move]
                 # Append it to A: swap the values move, move+1.
@@ -85,6 +89,9 @@ def normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
                 buf[a + pa] = move + 1
                 buf[a + pb] = move
                 inv[move], inv[move + 1] = pb, pa
+            if not moves:
+                break
+            b = a
     lo = 0
     while lo < m and _is_w0(buf, lo * n, n):
         lo += 1
@@ -92,6 +99,11 @@ def normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
     while hi > lo and _is_id(buf, (hi - 1) * n, n):
         hi -= 1
     return delta + lo, bytes(buf[lo * n : hi * n])
+
+
+def normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
+    """Left-weight a factor sequence; absorb Delta factors, drop trivial ones."""
+    return _left_weight(n, delta, flat, 1)
 
 
 def _tau_flat(n: int, flat: bytes) -> bytes:
@@ -106,13 +118,17 @@ def _tau_flat(n: int, flat: bytes) -> bytes:
 def multiply(n: int, p1: int, flat1: bytes, p2: int, flat2: bytes) -> tuple[int, bytes]:
     """Normal form of (Delta^p1 * flat1) * (Delta^p2 * flat2).
 
-    Delta^p2 moves to the front through flat1, twisting each factor by
-    the flip automorphism when p2 is odd.
+    Precondition: ``(p1, flat1)`` is a normal form, as every caller's
+    normal-form key is. Delta^p2 moves to the front through flat1,
+    twisting each factor by the flip automorphism when p2 is odd; the
+    twisted sequence is still left-weighted, so the slides start at the
+    first factor of flat2. A left operand that is not left-weighted gives
+    a wrong result.
     """
     if n == 1:
         return 0, b""
     first = _tau_flat(n, flat1) if p2 % 2 else flat1
-    return normalize(n, p1 + p2, first + flat2)
+    return _left_weight(n, p1 + p2, first + flat2, len(flat1) // n)
 
 
 def conjugate_by_simple(n: int, p: int, flat: bytes, s: bytes) -> tuple[int, bytes]:

@@ -268,7 +268,7 @@ def is_periodic(w: BraidWord) -> bool:
     return not powers[n - 1][1] or not powers[n - 2][1]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ClassificationResult:
     """Outcome of :func:`classify`.
 

@@ -216,17 +216,24 @@ class NormalForm:
         return " | ".join(parts)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ConjugacyCertificate:
     """A conjugating element ``c`` with ``c * a * c^-1 = b`` for the pair
-    it certifies. are_conjugate re-checks the equation before returning
-    one, and raises if it fails."""
+    it certifies, kept as its normal-form key. are_conjugate re-checks the
+    equation before returning one, and raises if it fails."""
 
-    conjugator: BraidWord
+    strands: int
+    key: _NfKey
+
+    @property
+    def conjugator(self) -> BraidWord:
+        """A word for c, spelled from the key on each read."""
+        return BraidWord(self.strands, _word_of_key(self.strands, self.key))
 
     def verifies(self, a: BraidWord, b: BraidWord) -> bool:
         """Re-run the conjugation equation through equal_words."""
-        return equal_words(concat(self.conjugator, a, invert_word(self.conjugator)), b)
+        c = self.conjugator
+        return equal_words(concat(c, a, invert_word(c)), b)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -701,9 +708,7 @@ def are_conjugate(
     found = next((track for key, track in closure if key == b_summit), None)
     if found is None:
         return None
-    conj_key = _mul(n, _inv(n, b_track), found)
-    conjugator = BraidWord(n, _word_of_key(n, conj_key))
-    certificate = ConjugacyCertificate(conjugator)
+    certificate = ConjugacyCertificate(n, _mul(n, _inv(n, b_track), found))
     if not certificate.verifies(a, b):
         raise RuntimeError("internal error: conjugacy certificate failed verification")
     return certificate

@@ -103,7 +103,7 @@ class EmbeddingMergeError(Exception):
     """
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SuiteConfig:
     """Configuration of a verify_nonmerging run."""
 
@@ -134,7 +134,7 @@ class SuiteConfig:
             raise ValueError("max_skip_rate must lie in [0, 1]")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TrialReport:
     """What one trial produced. The verdicts are None exactly when the
     trial was skipped on a resource limit, and ``verdict_general`` also
@@ -204,7 +204,7 @@ _VERIFY_TALLIES = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class VerifySummary:
     config: SuiteConfig
     reports: tuple[TrialReport, ...]

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class BraidWord:
     """A word in the Artin generators of the braid group on ``strands`` strands.
 

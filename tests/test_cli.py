@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from braidkit import ConjugacyCertificate, parse_word
+from braidkit import concat, equal_words, invert_word, parse_word
 from braidkit.cli import main
 
 
@@ -49,8 +49,8 @@ class TestOneShotCommands:
         assert code == 0
         verdict, conjugator = out.splitlines()
         assert verdict == "conjugate"
-        a, b = parse_word("12: 1"), parse_word("12: 11")
-        assert ConjugacyCertificate(parse_word(conjugator)).verifies(a, b)
+        a, b, c = parse_word("12: 1"), parse_word("12: 11"), parse_word(conjugator)
+        assert equal_words(concat(c, a, invert_word(c)), b)
 
     def test_conj_negative(self, capsys):
         code, out, _ = run(capsys, "conj", "3: 1", "3: -1")

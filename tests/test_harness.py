@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import pickle
+import tracemalloc
 
 import pytest
 
@@ -190,6 +193,31 @@ class TestReportModel:
         text = render_boundary_text(summary)
         assert "  FAIL trial 0: boundary curve not preserved: 2: 1\n" in text
         assert render_boundary_records(summary).endswith("failures=2\n")
+
+
+class TestReportMemory:
+    def test_reports_keep_keys_not_words(self):
+        # Certificates hold normal-form keys and reports use slots: a
+        # summary takes about 540 bytes a trial on CPython 3.11, against
+        # 1,190 with a conjugator word and a __dict__ on each object. A
+        # caller that keeps many summaries pays this per trial. The summary
+        # is rebuilt from its pickle under tracemalloc, so that only its
+        # own objects are traced and not the work of the decisions.
+        cfg = SuiteConfig(m=3, n=6, trials=100, maxlen=6, seed=7)
+        summary = verify_nonmerging(cfg)
+        assert summary.conjugate > 0
+        data = pickle.dumps(summary)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rebuilt = pickle.loads(data)
+            gc.collect()  # also empties the free lists of the unpickler's temporaries
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rebuilt == summary
+        assert retained / cfg.trials < 700
 
 
 class TestLiftWitness:

@@ -43,6 +43,90 @@ def inverse(flat: bytes) -> bytes:
     return bytes(inv)
 
 
+def fixpoint_normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
+    """The reference normal form: sliding passes over every adjacent pair,
+    repeated until one pass changes nothing, then Delta factors absorbed
+    from the front and identity factors dropped from the back."""
+    if n == 1:
+        return 0, b""
+    m = len(flat) // n
+    buf = bytearray(flat)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(0, (m - 1) * n, n):
+            b = a + n
+            inv = inverse(bytes(buf[a:b]))
+            while True:
+                move = next(
+                    (i for i in range(n - 1) if buf[b + i] > buf[b + i + 1] and inv[i] < inv[i + 1]),
+                    None,
+                )
+                if move is None:
+                    break
+                changed = True
+                buf[b + move], buf[b + move + 1] = buf[b + move + 1], buf[b + move]
+                pa, pb = inv[move], inv[move + 1]
+                buf[a + pa], buf[a + pb] = move + 1, move
+                inv = inv[:move] + bytes((pb, pa)) + inv[move + 2 :]
+    w0, ident = bytes(range(n - 1, -1, -1)), bytes(range(n))
+    factors = [bytes(buf[off : off + n]) for off in range(0, m * n, n)]
+    lo = 0
+    while lo < m and factors[lo] == w0:
+        lo += 1
+    hi = m
+    while hi > lo and factors[hi - 1] == ident:
+        hi -= 1
+    return delta + lo, b"".join(factors[lo:hi])
+
+
+def special_flat(rng: random.Random, n: int, factors: int) -> bytes:
+    """Random factors with Delta and the identity each drawn a fifth of
+    the time."""
+    out = b""
+    for _ in range(factors):
+        draw = rng.random()
+        if draw < 0.2:
+            out += bytes(range(n - 1, -1, -1))
+        elif draw < 0.4:
+            out += bytes(range(n))
+        else:
+            out += random_flat(rng, n, 1)
+    return out
+
+
+class TestAgainstFixpoint:
+    """The kernel appends one factor at a time and slides it leftward
+    once; the reference repeats full passes until nothing moves."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_normalize(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(150):
+            draw = special_flat if rng.random() < 0.5 else random_flat
+            args = (n, rng.randint(-3, 3), draw(rng, n, rng.randint(0, 40)))
+            assert _native.normalize(*args) == fixpoint_normalize(*args)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_products_of_normal_forms(self, n):
+        rng = random.Random(200 + n)
+        for _ in range(100):
+            x, y = (
+                _native.normalize(n, rng.randint(-3, 3), special_flat(rng, n, rng.randint(0, 12)))
+                for _ in range(2)
+            )
+            (p1, flat1), (p2, flat2) = x, y
+            twisted = _native._tau_flat(n, flat1) if p2 % 2 else flat1
+            assert _native.multiply(n, *x, *y) == fixpoint_normalize(n, p1 + p2, twisted + flat2)
+            s = random_flat(rng, n, 1)
+            head = inverse(s)[::-1]
+            if p1 % 2:
+                head = _native._tau_flat(n, head)
+            assert _native.conjugate_by_simple(n, *x, s) == fixpoint_normalize(
+                n, p1 - 1, head + flat1 + s
+            )
+
+
 class TestNormalizeContract:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_output_is_left_weighted(self, n):
