@@ -32,12 +32,13 @@ from .garside import (
     ResourceLimitError,
     _check_cap,
     _nf_of_word,
+    _permutation_of_key,
     _powers,
     _simple_letters,
     _word_of_key,
     super_summit_set,
 )
-from .words import BraidWord, permutation_of_word
+from .words import BraidWord
 
 __all__ = [
     "ClassificationResult",
@@ -368,9 +369,15 @@ def classify(
     can only preserve a curve whose puncture set the element's
     permutation fixes at power k, and preservation itself is decided by
     the factor walk of :func:`_preserves_round_curve`, which never builds
-    large free-group words. The scan reads the summit set's key pairs:
-    each element's powers are keys, computed once, when the scan first
-    needs them, and words are built only for the witness returned.
+    large free-group words.
+
+    The scan reads the summit set's keys. super_summit_set has verified
+    each of them conjugate to w, by its closure edge, before the scan
+    starts. Each element's permutation is read off its key, its powers
+    are keys, computed once, when the scan first needs them, and words
+    and a conjugator are built only for the witness returned: its
+    conjugator is built along the closure tree and re-verified end to
+    end (SuperSummitSet.conjugator_key).
 
     Raises ValueError if ``max_sss`` < 1, ResourceLimitError if the summit
     set outgrows it. ``max_letters`` only guards the witness re-check.
@@ -382,11 +389,11 @@ def classify(
     if is_periodic(w):
         return ClassificationResult("periodic")
     sss = super_summit_set(w, max_size=max_sss)
-    perms = [permutation_of_word(BraidWord(n, _word_of_key(n, key))) for key, _ in sss.pairs]
+    perms = [_permutation_of_key(n, key) for key in sss.keys]
     powers = functools.cache(lambda key: _powers(n, key, n))
     for curve, (i, j) in _round_curves(n):
         punctures = set(range(i, j + 1))
-        for (key, track), perm in zip(sss.pairs, perms):
+        for key, perm in zip(sss.keys, perms):
             period = _puncture_orbit_period(perm, punctures, n)
             if period is None:
                 continue
@@ -395,6 +402,6 @@ def classify(
                     witness_word = BraidWord(n, _word_of_key(n, key) * k)
                     if not preserves_curve_class(witness_word, curve, max_letters=max_letters):
                         raise RuntimeError("internal error: witness failed re-verification")
-                    conjugator = BraidWord(n, _word_of_key(n, track))
+                    conjugator = BraidWord(n, _word_of_key(n, sss.conjugator_key(key)))
                     return ClassificationResult("reducible", curve, k, conjugator)
     return ClassificationResult("pseudo_anosov")

@@ -21,6 +21,16 @@ flat byte layout documented in :mod:`braidkit._native`.
 
 Conjugation convention used everywhere: ``c`` conjugates ``a`` to
 ``c * a * c^-1``.
+
+What is verified, and when. The summit closure walks the super summit
+set breadth first and keeps, for each element, only the edge that
+reached it: a parent and a simple element. super_summit_set checks the
+seed's conjugator against the input end to end and every edge by one
+product on each side, so each element it returns is proven conjugate to
+the input; a conjugator is built from the edges, and re-verified end to
+end, only when one is read (SuperSummitSet). are_conjugate builds the
+conjugator of the vertex it finds and re-checks the certificate it
+returns through the word equation. Any failed check raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -61,6 +71,10 @@ DEFAULT_SSS_LIMIT = 100_000
 
 _NfKey = tuple[int, bytes]
 _KeyPair = tuple[_NfKey, _NfKey]
+# A closure edge (key, parent, s): key is s^-1 * parent * s. The seed's
+# edge is (seed, None, None). A tree maps each key to (parent, s).
+_Edge = tuple[_NfKey, _NfKey | None, bytes | None]
+_Tree = dict[_NfKey, tuple[_NfKey | None, bytes | None]]
 
 
 class ResourceLimitError(Exception):
@@ -238,23 +252,62 @@ class ConjugacyCertificate:
 
 @dataclasses.dataclass(frozen=True)
 class SuperSummitSet:
-    """All conjugates with maximal inf and minimal sup, canonically
-    ordered, as (element, verified conjugator) pairs of normal-form keys."""
+    """All conjugates of a braid w with maximal inf and minimal sup, as a
+    view over normal-form keys.
+
+    ``keys`` lists the elements in canonical order (delta power, factor
+    count, lexicographic factor images). ``tree`` maps each
+    element, in the breadth-first order of the summit closure, to the edge
+    that reached it: ``(parent, s)`` with ``s^-1 * parent * s`` equal to
+    the element, or ``(None, None)`` for the seed, whose conjugator
+    ``seed_track`` satisfies ``seed_track * w * seed_track^-1 = seed``.
+    super_summit_set verifies the seed's track and every edge before
+    returning, so every element is conjugate to w; ``word_key`` is w's key.
+
+    ``len()`` and ``keys`` build no conjugator. ``pairs``, ``conjugators``
+    and ``elements`` are built on first read; ``pairs`` and
+    ``conjugator_key`` re-verify each conjugator c they build against w,
+    ``c * w * c^-1 = element``, and raise RuntimeError if one fails.
+    """
 
     strands: int
-    pairs: tuple[_KeyPair, ...]
+    word_key: _NfKey
+    seed_track: _NfKey
+    keys: tuple[_NfKey, ...]
+    tree: _Tree = dataclasses.field(hash=False)
+
+    def conjugator_key(self, key: _NfKey) -> _NfKey:
+        """The conjugator of one element, built along its tree path and
+        verified end to end."""
+        track = _tree_track(self.strands, self.tree, key, self.seed_track)
+        _verify_track(self.strands, self.word_key, key, track)
+        return track
+
+    @functools.cached_property
+    def pairs(self) -> tuple[_KeyPair, ...]:
+        """(element, conjugator) key pairs in canonical order."""
+        n = self.strands
+        tracks: dict[_NfKey, _NfKey] = {}
+        for key, (parent, s) in self.tree.items():
+            if parent is None:
+                tracks[key] = self.seed_track
+            else:
+                tracks[key] = _mul(n, _simple_inv_nf(n, s), tracks[parent])
+        for key in self.keys:
+            _verify_track(n, self.word_key, key, tracks[key])
+        return tuple((key, tracks[key]) for key in self.keys)
 
     @functools.cached_property
     def conjugators(self) -> dict[NormalForm, BraidWord]:
         n = self.strands
         return {_nf_public(n, k): BraidWord(n, _word_of_key(n, c)) for k, c in self.pairs}
 
-    @property
+    @functools.cached_property
     def elements(self) -> tuple[NormalForm, ...]:
-        return tuple(self.conjugators)
+        return tuple(_nf_public(self.strands, key) for key in self.keys)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[NormalForm]:
         return iter(self.elements)
@@ -324,6 +377,16 @@ def _word_of_key(n: int, key: _NfKey) -> tuple[int, ...]:
     for off in range(0, len(flat), n):
         letters.extend(_simple_letters(n, flat[off : off + n]))
     return tuple(letters)
+
+
+def _permutation_of_key(n: int, key: _NfKey) -> Permutation:
+    """The permutation of Delta^p A_1..A_l: the flip i -> n+1-i when p is
+    odd, then each factor's permutation in turn."""
+    p, flat = key
+    images = _w0_flat(n) if p % 2 else _id_flat(n)
+    for off in range(0, len(flat), n):
+        images = bytes(flat[off + v] for v in images)
+    return _perm_of_flat(n, images)
 
 
 # -- normal-form arithmetic on keys ---------------------------------------------
@@ -624,59 +687,87 @@ def _check_cap(max_sss: int) -> None:
         raise ValueError("max_sss must be >= 1")
 
 
-def _summit_closure(n: int, seed: _NfKey, seed_track: _NfKey, max_size: int) -> Iterator[_KeyPair]:
+def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
     """Breadth-first walk of the super summit set of ``seed``, a summit
     element, under conjugation by each vertex's minimal simple elements.
 
-    Yields each vertex once as ``(key, track)``, seed first, the track
-    extending ``seed_track``. A vertex is yielded before the cap check, so
-    a caller that stops at it never sees the cap; walking on past
-    ``max_size`` vertices raises ResourceLimitError.
+    Yields each vertex once as the edge ``(key, parent, s)`` that first
+    reached it, ``key`` being the kernel's normal form of
+    ``s^-1 * parent * s``; the seed comes first, as ``(seed, None, None)``.
+    The walk computes no conjugators and verifies no edge: callers do
+    that for the vertices they keep. A vertex is yielded before the cap
+    check, so a caller that stops at it never sees the cap; walking on
+    past ``max_size`` vertices raises ResourceLimitError.
     """
     inf0 = seed[0]
     len0 = len(seed[1])
     memo = _PushMemo()
-    yield seed, seed_track
-    seen: dict[_NfKey, _NfKey] = {seed: seed_track}
+    yield seed, None, None
+    seen = {seed}
     queue: deque[_NfKey] = deque([seed])
     while queue:
         key = queue.popleft()
-        track = seen[key]
         simples = _minimal_simples(n, key, memo)
         for s, result in zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)):
             if result[0] != inf0 or len(result[1]) != len0:
                 raise RuntimeError("internal error: a minimal simple element left the summit set")
             if result in seen:
                 continue
-            new_track = _mul(n, _simple_inv_nf(n, s), track)
-            yield result, new_track
+            yield result, key, s
             if len(seen) >= max_size:
                 raise ResourceLimitError("super summit set exceeded its cap", len(seen))
-            seen[result] = new_track
+            seen.add(result)
             queue.append(result)
 
 
-def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSummitSet:
-    """The full super summit set of ``w`` with one conjugator per element.
+def _tree_track(n: int, tree: _Tree, key: _NfKey, track: _NfKey) -> _NfKey:
+    """Extend ``track``, the seed's conjugator, by s^-1 for each edge on
+    the tree path from the seed to ``key``."""
+    steps = []
+    parent, s = tree[key]
+    while parent is not None:
+        steps.append(s)
+        parent, s = tree[parent]
+    for s in reversed(steps):
+        track = _mul(n, _simple_inv_nf(n, s), track)
+    return track
 
-    Every vertex of the summit closure is kept as a pair of keys, in
-    canonical order (delta power, factor count, lexicographic factor
-    images), and every conjugator ``c`` satisfies ``c * w * c^-1 =
-    element``; each one is re-verified on the keys before returning.
+
+def _verify_track(n: int, w_key: _NfKey, key: _NfKey, track: _NfKey) -> None:
+    """Raise unless track * w * track^-1 is the element ``key``."""
+    if _mul(n, _mul(n, track, w_key), _inv(n, track)) != key:
+        raise RuntimeError("internal error: summit conjugator failed verification")
+
+
+def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSummitSet:
+    """The full super summit set of ``w``, as a view over the keys of its
+    elements and the closure's breadth-first tree.
+
+    Verified before returning: the seed's track end to end,
+    ``track * w * track^-1 = seed``, and every other element by its edge,
+    ``parent * s = s * element``, two products with a one-factor operand.
+    By induction every element is conjugate to w. No conjugator is built
+    here; SuperSummitSet builds and re-verifies them when they are read.
 
     Raises ValueError when ``max_size`` < 1, ResourceLimitError when the
-    set would exceed it.
+    set would exceed it, RuntimeError when a check fails.
     """
     _check_cap(max_size)
     n = w.strands
     w_key = _nf_of_word(w)
     seed, seed_track = _drive_to_summit(n, w_key)
-    closure = _summit_closure(n, seed, seed_track, max_size)
-    pairs = sorted(closure, key=lambda pair: (pair[0][0], len(pair[0][1]), pair[0][1]))
-    for key, track in pairs:
-        if _mul(n, _mul(n, track, w_key), _inv(n, track)) != key:
-            raise RuntimeError("internal error: summit conjugator failed verification")
-    return SuperSummitSet(n, tuple(pairs))
+    _verify_track(n, w_key, seed, seed_track)
+    tree: _Tree = {}
+    for key, parent, s in _summit_closure(n, seed, max_size):
+        if parent is not None:
+            # (0, s) is the normal form of s. s is never Delta: a vertex
+            # without factors is its only conjugate, and one with factors
+            # has an atom whose rho lies below its cycling conjugator.
+            if _mul(n, parent, (0, s)) != _mul(n, (0, s), key):
+                raise RuntimeError("internal error: a summit edge failed verification")
+        tree[key] = (parent, s)
+    keys = tuple(sorted(tree, key=lambda key: (key[0], len(key[1]), key[1])))
+    return SuperSummitSet(n, w_key, seed_track, keys, tree)
 
 
 def are_conjugate(
@@ -704,10 +795,14 @@ def are_conjugate(
     b_summit, b_track = _drive_to_summit(n, _nf_of_word(b))
     if a_summit[0] != b_summit[0] or len(a_summit[1]) != len(b_summit[1]):
         return None
-    closure = _summit_closure(n, a_summit, a_track, max_sss)
-    found = next((track for key, track in closure if key == b_summit), None)
-    if found is None:
+    tree: _Tree = {}
+    for key, parent, s in _summit_closure(n, a_summit, max_sss):
+        tree[key] = (parent, s)
+        if key == b_summit:
+            break
+    else:
         return None
+    found = _tree_track(n, tree, b_summit, a_track)
     certificate = ConjugacyCertificate(n, _mul(n, _inv(n, b_track), found))
     if not certificate.verifies(a, b):
         raise RuntimeError("internal error: conjugacy certificate failed verification")

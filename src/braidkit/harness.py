@@ -452,6 +452,7 @@ _TIMES = ("time_m_us", "time_n_us")
 
 
 def _trial_document(r: TrialReport) -> dict:
+    conjugator_m = format_word(r.certificate_m.conjugator) if r.certificate_m else None
     return {
         "trial": r.trial,
         "mode": r.mode,
@@ -463,9 +464,10 @@ def _trial_document(r: TrialReport) -> dict:
         "consistent": r.consistent,
         "skipped": r.skipped,
         "skip_reason": r.skip_reason,
-        "conjugator_m": format_word(r.certificate_m.conjugator) if r.certificate_m else None,
+        "conjugator_m": conjugator_m,
         "conjugator_n": format_word(r.certificate_n.conjugator) if r.certificate_n else None,
-        "lifted_witness": None if r.lifted_witness is None else format_word(r.lifted_witness),
+        # TrialReport.lifted_witness: the B_m conjugator, when verdict_n holds.
+        "lifted_witness": conjugator_m if r.verdict_n else None,
         "theorem_violation": r.theorem_violation,
         "time_m_us": r.time_m_us,
         "time_n_us": r.time_n_us,

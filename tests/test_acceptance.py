@@ -300,7 +300,7 @@ def test_criterion_9_determinism():
         subprocess.run(
             argv,
             capture_output=True,
-            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
             check=True,
         ).stdout
         for _ in range(2)

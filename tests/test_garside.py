@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -31,6 +32,7 @@ from braidkit import (
     invert_word,
     is_delta_power,
     normal_form,
+    parse_word,
     permutation_of_word,
     random_word,
     super_summit_set,
@@ -45,7 +47,10 @@ from braidkit.garside import (
     _letters_to_factors,
     _minimal_simples,
     _mul,
+    _permutation_of_key,
     _PushMemo,
+    _tau_one,
+    _word_of_key,
 )
 
 
@@ -303,6 +308,80 @@ class TestSuperSummitSet:
         digest = hashlib.sha256(repr(conjugators).encode()).hexdigest()
         assert digest == "b1662930090b5c04f142a29d663aac92e878732445694299ca56dc17d2073d35"
 
+    def test_pairs_and_equality(self):
+        """On the golden words, the (element, conjugator) key pairs are
+        pinned by a hash, and two sets are equal exactly when their words
+        are the same braid: a second spelling of a word gives an equal,
+        equally hashed set, and the 30 words give 30 different sets."""
+        sets, pairs = [], []
+        for n, length in ((3, 8), (4, 8), (5, 6)):
+            for seed in range(10):
+                w = random_word(n, length, seed)
+                sss = super_summit_set(w)
+                respelt = super_summit_set(concat(w, BraidWord(n, (1, -1))))
+                assert sss == respelt and hash(sss) == hash(respelt)
+                sets.append(sss)
+                pairs.append(sss.pairs)
+        digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+        assert digest == "7e0cf6f340a29747a48dad5b57895a24112619e915ee8fdac935143c2150357a"
+        assert all(a != b for a, b in itertools.combinations(sets, 2))
+
+    def test_a_wrong_conjugate_fails_its_edge(self, monkeypatch):
+        """A kernel that answers a conjugation with another summit element,
+        the flip tau of the right one, is caught by the edge check inside
+        super_summit_set, before any conjugator is built."""
+        honest = _kernel.conjugate_batch
+
+        def flipped(n, p, flat, simples):
+            return [
+                (q, b"".join(_tau_one(n, f[off : off + n]) for off in range(0, len(f), n)))
+                for q, f in honest(n, p, flat, simples)
+            ]
+
+        w = parse_word("4: 2 1 1 -2 -2 3 3 -1 -2")
+        monkeypatch.setattr(_kernel, "conjugate_batch", flipped)
+        with pytest.raises(RuntimeError, match="summit edge failed verification"):
+            super_summit_set(w)
+
+    def test_conjugators_are_reverified_on_read(self):
+        """A conjugator is checked against the word when it is built: a set
+        whose seed track is wrong raises on reading pairs or a conjugator."""
+        sss = super_summit_set(parse_word("4: 2 1 1 -2 -2 3 3 -1 -2"))
+        broken = dataclasses.replace(sss, seed_track=(0, b""))
+        assert len(broken) == 62
+        with pytest.raises(RuntimeError, match="summit conjugator failed verification"):
+            broken.pairs
+        with pytest.raises(RuntimeError, match="summit conjugator failed verification"):
+            broken.conjugator_key(broken.keys[0])
+        assert sss.conjugator_key(sss.keys[-1]) == sss.pairs[-1][1]
+
+    def test_multiply_counts(self, monkeypatch):
+        """Exact kernel products for a 62-element set, which show that
+        neither len() nor classify builds the conjugator pairs. The set
+        takes 136: 12 conjugator products while driving w to the summit,
+        2 to verify the seed's conjugator, 2 per edge for the other 61
+        elements. Reading pairs adds 185: 61 conjugator products and 2
+        verification products per element. classify takes 325: 3 for the
+        powers in is_periodic, the set's 136, and powers up to 4 of the
+        62 elements, 3 products each; the result is pseudo-Anosov, so no
+        witness conjugator is built."""
+        calls = []
+        multiply = _kernel.multiply
+
+        def counted(*args):
+            calls.append(args)
+            return multiply(*args)
+
+        monkeypatch.setattr(_kernel, "multiply", counted)
+        w = parse_word("4: 2 1 1 -2 -2 3 3 -1 -2")
+        sss = super_summit_set(w)
+        assert (len(sss), len(calls)) == (62, 136)
+        sss.pairs
+        assert len(calls) == 136 + 185
+        calls.clear()
+        assert classify(w).kind == "pseudo_anosov"
+        assert len(calls) == 325
+
 
 class TestAreConjugate:
     def test_generators_are_conjugate(self):
@@ -406,6 +485,19 @@ class TestKeyInverse:
             inverse = _inv(n, x)
             assert _kernel.normalize(n, *inverse) == inverse
             assert _mul(n, x, inverse) == (0, b"")
+
+
+class TestPermutationOfKey:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_matches_the_word(self, n):
+        """The permutation read off a key equals that of the key's word,
+        for Delta powers that are odd, negative and zero."""
+        for seed in range(20):
+            _, flat = _word_key(random_word(n, 10, 900 + seed))
+            for p in (-3, -2, -1, 0, 1, 4):
+                key = (p, flat)
+                expected = permutation_of_word(BraidWord(n, _word_of_key(n, key)))
+                assert _permutation_of_key(n, key) == expected
 
 
 class TestDriveToSummit:

@@ -210,7 +210,7 @@ class TestBackendSelection:
 
     def run_with_env(self, pure: bool) -> list[str]:
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = {"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}
+        env = {"PYTHONPATH": src, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
         if pure:
             env["BRAIDKIT_PURE"] = "1"
         result = subprocess.run(
