@@ -18,10 +18,17 @@ Descent conventions (0-based index ``i`` names the crossing of positions
 ``A[i] > A[i+1]``, and in the finishing set iff ``A^-1`` has a descent at
 ``i``. A sequence is left-weighted when every adjacent pair ``(A, B)``
 satisfies ``starting(B) <= finishing(A)``.
+
+The flip automorphism tau, conjugation by Delta, maps a factor ``A`` to
+``k -> n-1-A[n-1-k]`` and keeps a sequence left-weighted. ``_tau_flat``
+applies it to a whole sequence with one reversal and one translate. The
+Garside layer uses it too, to move Delta powers and to flip whole
+summit elements.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 BACKEND = "python"
@@ -106,13 +113,23 @@ def normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
     return _left_weight(n, delta, flat, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _flip_table(n: int) -> bytes:
+    """The translate table of v -> n-1-v."""
+    return bytes(range(n - 1, -1, -1)).ljust(256, b"\0")
+
+
 def _tau_flat(n: int, flat: bytes) -> bytes:
-    """Apply the flip automorphism to every factor: tau(A)[k] = n-1-A[n-1-k]."""
-    out = bytearray(len(flat))
-    for off in range(0, len(flat), n):
-        for t in range(n):
-            out[off + t] = n - 1 - flat[off + n - 1 - t]
-    return bytes(out)
+    """Apply the flip automorphism to every factor: tau(A)[k] = n-1-A[n-1-k].
+
+    Reversing the buffer reverses each factor, and the factor order with
+    it; one translate maps every value v to n-1-v, and the factors are
+    then put back in order.
+    """
+    out = flat[::-1].translate(_flip_table(n))
+    if len(out) <= n:
+        return out
+    return b"".join(out[off - n : off] for off in range(len(out), 0, -n))
 
 
 def multiply(n: int, p1: int, flat1: bytes, p2: int, flat2: bytes) -> tuple[int, bytes]:

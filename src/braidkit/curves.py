@@ -31,6 +31,7 @@ from .garside import (
     DEFAULT_SSS_LIMIT,
     ResourceLimitError,
     _check_cap,
+    _flip_key,
     _nf_of_word,
     _permutation_of_key,
     _powers,
@@ -373,11 +374,13 @@ def classify(
 
     The scan reads the summit set's keys. super_summit_set has verified
     each of them conjugate to w, by its closure edge, before the scan
-    starts. Each element's permutation is read off its key, its powers
-    are keys, computed once, when the scan first needs them, and words
-    and a conjugator are built only for the witness returned: its
-    conjugator is built along the closure tree and re-verified end to
-    end (SuperSummitSet.conjugator_key).
+    starts. Each element's permutation is read off its key. Its powers
+    are keys, computed once, when the scan first needs them: as products,
+    or, when the powers of its flip tau(x) = Delta^-1 x Delta are known
+    already, as their flips, since tau(x)^k = tau(x^k). Words and a
+    conjugator are built only for the witness returned: its conjugator is
+    built along the closure tree and re-verified end to end
+    (SuperSummitSet.conjugator_key).
 
     Raises ValueError if ``max_sss`` < 1, ResourceLimitError if the summit
     set outgrows it. ``max_letters`` only guards the witness re-check.
@@ -390,15 +393,18 @@ def classify(
         return ClassificationResult("periodic")
     sss = super_summit_set(w, max_size=max_sss)
     perms = [_permutation_of_key(n, key) for key in sss.keys]
-    powers = functools.cache(lambda key: _powers(n, key, n))
+    powers: dict[tuple[int, bytes], list[tuple[int, bytes]]] = {}
     for curve, (i, j) in _round_curves(n):
         punctures = set(range(i, j + 1))
         for key, perm in zip(sss.keys, perms):
             period = _puncture_orbit_period(perm, punctures, n)
             if period is None:
                 continue
+            if key not in powers:
+                twin = powers.get(_flip_key(n, key))
+                powers[key] = [_flip_key(n, x) for x in twin] if twin else _powers(n, key, n)
             for k in range(period, n + 1, period):
-                if _preserves_round_curve(n, powers(key)[k - 1], i, j):
+                if _preserves_round_curve(n, powers[key][k - 1], i, j):
                     witness_word = BraidWord(n, _word_of_key(n, key) * k)
                     if not preserves_curve_class(witness_word, curve, max_letters=max_letters):
                         raise RuntimeError("internal error: witness failed re-verification")

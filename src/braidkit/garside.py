@@ -24,8 +24,10 @@ Conjugation convention used everywhere: ``c`` conjugates ``a`` to
 
 What is verified, and when. The summit closure walks the super summit
 set breadth first and keeps, for each element, only the edge that
-reached it: a parent and a simple element. super_summit_set checks the
-seed's conjugator against the input end to end and every edge by one
+reached it: a parent and a simple element. It expands one vertex of each
+pair {x, tau(x)}; the other's edges are flips of x's and cost no kernel
+conjugation. super_summit_set checks the seed's conjugator against the
+input end to end and every edge, derived by a flip or not, by one
 product on each side, so each element it returns is proven conjugate to
 the input; a conjugator is built from the edges, and re-verified end to
 end, only when one is read (SuperSummitSet). are_conjugate builds the
@@ -41,6 +43,7 @@ from collections import deque
 from typing import Iterator
 
 from . import _kernel
+from ._native import _tau_flat
 from .words import (
     BraidWord,
     Permutation,
@@ -108,11 +111,6 @@ def _inv_flat(perm: bytes) -> bytes:
 def _complement(perm: bytes) -> bytes:
     """The simple element Delta A^-1, so that A^-1 = Delta^-1 (Delta A^-1)."""
     return _inv_flat(perm)[::-1]
-
-
-def _tau_one(n: int, perm: bytes) -> bytes:
-    """Flip automorphism on one factor: tau(A)(k) = n-1-A(n-1-k)."""
-    return bytes(n - 1 - perm[n - 1 - t] for t in range(n))
 
 
 def _descents(perm: bytes) -> frozenset[int]:
@@ -323,7 +321,7 @@ def _assemble(n: int, items: list[tuple[int, bytes]], tail_shift: int = 0) -> tu
     acc = tail_shift
     out: list[bytes] = []
     for shift, perm in reversed(items):
-        out.append(_tau_one(n, perm) if acc % 2 else perm)
+        out.append(_tau_flat(n, perm) if acc % 2 else perm)
         acc += shift
     out.reverse()
     return acc, b"".join(out)
@@ -419,6 +417,11 @@ def _powers(n: int, x: _NfKey, top: int) -> list[_NfKey]:
     return powers
 
 
+def _flip_key(n: int, x: _NfKey) -> _NfKey:
+    """tau(x) = Delta^-1 x Delta: the flip of each factor keeps a normal form."""
+    return x[0], _tau_flat(n, x[1])
+
+
 @functools.lru_cache(maxsize=None)
 def _simple_inv_nf(n: int, s: bytes) -> _NfKey:
     """Normal form of s^-1 = Delta^-1 * (Delta s^-1)."""
@@ -463,7 +466,7 @@ def _cycle_key(n: int, key: _NfKey) -> tuple[_NfKey, bytes]:
     input was conjugated by (result = u^-1 x u, u = tau^-p(A_1))."""
     p, flat = key
     first = flat[:n]
-    u = _tau_one(n, first) if p % 2 else first
+    u = _tau_flat(n, first) if p % 2 else first
     new = _kernel.normalize(n, p, flat[n:] + u)
     return new, u
 
@@ -473,7 +476,7 @@ def _decycle_key(n: int, key: _NfKey) -> tuple[_NfKey, bytes]:
     with result = u x u^-1 (u = A_l, the last factor)."""
     p, flat = key
     last = flat[-n:]
-    twisted = _tau_one(n, last) if p % 2 else last
+    twisted = _tau_flat(n, last) if p % 2 else last
     new = _kernel.normalize(n, p, twisted + flat[:-n])
     return new, last
 
@@ -661,7 +664,7 @@ def _minimal_simples(n: int, key: _NfKey, memo: _PushMemo) -> list[bytes]:
         while settled < 2:
             odd, factors = sides[side]
             side ^= 1
-            a = _tau_one(n, s) if odd else s
+            a = _tau_flat(n, s) if odd else s
             for f in factors:
                 if a == identity:  # the identity pushes to itself
                     break
@@ -682,6 +685,20 @@ def _minimal_simples(n: int, key: _NfKey, memo: _PushMemo) -> list[bytes]:
     return minimal
 
 
+def _flip_edges(n: int, edges: list[tuple[bytes, _NfKey]]) -> list[tuple[bytes, _NfKey]]:
+    """The edges (s, s^-1 x s) of a vertex x, turned into those of tau(x).
+
+    tau preserves the prefix order, so rho_tau(x)(sigma_i) is
+    tau(rho_x(sigma_(n-i))) and the minimal simple elements of tau(x) are
+    the flips of x's; tau(s)^-1 tau(x) tau(s) = tau(s^-1 x s). Every atom
+    prefix of a minimal simple element has it as its rho, so
+    _minimal_simples lists each at its least atom prefix: sorting by that
+    gives its order.
+    """
+    flipped = [(_tau_flat(n, s), _flip_key(n, key)) for s, key in edges]
+    return sorted(flipped, key=lambda edge: min(_descents(edge[0])))
+
+
 def _check_cap(max_sss: int) -> None:
     if max_sss < 1:
         raise ValueError("max_sss must be >= 1")
@@ -698,17 +715,35 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
     that for the vertices they keep. A vertex is yielded before the cap
     check, so a caller that stops at it never sees the cap; walking on
     past ``max_size`` vertices raises ResourceLimitError.
+
+    Conjugation by Delta, the flip tau, is a Garside automorphism: it maps
+    the summit set onto itself and carries the edges of x onto those of
+    tau(x) (_flip_edges). So only one vertex of each pair {x, tau(x)} is
+    expanded, by _minimal_simples and one conjugate_batch call; its edges
+    are kept until its twin is dequeued, which reads its own off by the
+    flip, with no push and no kernel call, and drops them. Every vertex
+    still gets exactly the edges, in the same order, that expanding it
+    would give, so the walk, its tree, its cap and its completeness (the
+    summit set is connected under minimal simple elements) are unchanged.
     """
     inf0 = seed[0]
     len0 = len(seed[1])
     memo = _PushMemo()
+    expanded: dict[_NfKey, list[tuple[bytes, _NfKey]]] = {}
     yield seed, None, None
     seen = {seed}
     queue: deque[_NfKey] = deque([seed])
     while queue:
         key = queue.popleft()
-        simples = _minimal_simples(n, key, memo)
-        for s, result in zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)):
+        twin = _flip_key(n, key)
+        if twin in expanded:
+            edges = _flip_edges(n, expanded.pop(twin))
+        else:
+            simples = _minimal_simples(n, key, memo)
+            edges = list(zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)))
+            if twin != key:
+                expanded[key] = edges
+        for s, result in edges:
             if result[0] != inf0 or len(result[1]) != len0:
                 raise RuntimeError("internal error: a minimal simple element left the summit set")
             if result in seen:

@@ -40,7 +40,9 @@ def test_backend_name():
 def test_tracer_counts_the_summit_layers():
     """The counts the benchmark reports for the summit layers are read off
     real calls: classify on a pseudo-Anosov B_4 word (its summit set has
-    62 elements) and are_conjugate on a constructed B_4 pair."""
+    62 elements, 31 pairs {x, tau(x)}, and the closure expands one vertex
+    of each pair by one conjugate_batch call) and are_conjugate on a
+    constructed B_4 pair, which meets its target after one expansion."""
     w = braidkit.parse_word("4: 2 1 1 -2 -2 3 3 -1 -2")
     a = braidkit.parse_word("4: 1 2 -3 1")
     g = braidkit.parse_word("4: 3 -2 1")
@@ -62,3 +64,4 @@ def test_tracer_counts_the_summit_layers():
     metrics = tracer.layer_metrics(None, None)
     assert metrics["garside.sss_elements"][0] == len(braidkit.super_summit_set(w)) == 62
     assert metrics["kernel.conjugations_tried"][0] > 0
+    assert metrics["kernel.conjugate_batch_calls"][0] == 31 + 1

@@ -7,6 +7,7 @@ import functools
 import hashlib
 import itertools
 import random
+from collections import deque
 
 import pytest
 from conftest import artin_oracle_equal, braid_word_pairs, braid_words, rewritten_equivalent
@@ -37,19 +38,23 @@ from braidkit import (
     random_word,
     super_summit_set,
 )
-from braidkit import _kernel
+from braidkit import _kernel, garside
+from braidkit._native import _tau_flat
 from braidkit.garside import (
+    DEFAULT_SSS_LIMIT,
     _complement,
     _cycle_key,
     _decycle_key,
     _drive_to_summit,
+    _flip_edges,
+    _flip_key,
     _inv,
     _letters_to_factors,
     _minimal_simples,
     _mul,
     _permutation_of_key,
     _PushMemo,
-    _tau_one,
+    _summit_closure,
     _word_of_key,
 )
 
@@ -333,10 +338,7 @@ class TestSuperSummitSet:
         honest = _kernel.conjugate_batch
 
         def flipped(n, p, flat, simples):
-            return [
-                (q, b"".join(_tau_one(n, f[off : off + n]) for off in range(0, len(f), n)))
-                for q, f in honest(n, p, flat, simples)
-            ]
+            return [(q, _tau_flat(n, f)) for q, f in honest(n, p, flat, simples)]
 
         w = parse_word("4: 2 1 1 -2 -2 3 3 -1 -2")
         monkeypatch.setattr(_kernel, "conjugate_batch", flipped)
@@ -361,26 +363,137 @@ class TestSuperSummitSet:
         takes 136: 12 conjugator products while driving w to the summit,
         2 to verify the seed's conjugator, 2 per edge for the other 61
         elements. Reading pairs adds 185: 61 conjugator products and 2
-        verification products per element. classify takes 325: 3 for the
-        powers in is_periodic, the set's 136, and powers up to 4 of the
-        62 elements, 3 products each; the result is pseudo-Anosov, so no
-        witness conjugator is built."""
+        verification products per element. classify takes 232: 3 for the
+        powers in is_periodic, the set's 136, and powers up to 4 of one
+        element of each of the 31 pairs {x, tau(x)}, 3 products each; the
+        twin's powers are flips. The result is pseudo-Anosov, so no
+        witness conjugator is built. The closure expands one vertex of
+        each pair: 31 conjugate_batch calls, 61 conjugations."""
         calls = []
+        batches = []
         multiply = _kernel.multiply
+        conjugate_batch = _kernel.conjugate_batch
 
         def counted(*args):
             calls.append(args)
             return multiply(*args)
 
+        def counted_batch(n, p, flat, simples):
+            batches.append(len(simples))
+            return conjugate_batch(n, p, flat, simples)
+
         monkeypatch.setattr(_kernel, "multiply", counted)
+        monkeypatch.setattr(_kernel, "conjugate_batch", counted_batch)
         w = parse_word("4: 2 1 1 -2 -2 3 3 -1 -2")
         sss = super_summit_set(w)
         assert (len(sss), len(calls)) == (62, 136)
+        assert (len(batches), sum(batches)) == (31, 61)
         sss.pairs
         assert len(calls) == 136 + 185
         calls.clear()
         assert classify(w).kind == "pseudo_anosov"
-        assert len(calls) == 325
+        assert len(calls) == 232
+
+
+def _expand_every_vertex(n, seed, max_size):
+    """The summit closure as it was before twins were read off by the
+    flip: every vertex is expanded by its minimal simple elements and one
+    conjugate_batch call. The reference for the walk's edges and cap."""
+    memo = _PushMemo()
+    yield seed, None, None
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        key = queue.popleft()
+        simples = _minimal_simples(n, key, memo)
+        for s, result in zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)):
+            if result in seen:
+                continue
+            yield result, key, s
+            if len(seen) >= max_size:
+                raise ResourceLimitError("super summit set exceeded its cap", len(seen))
+            seen.add(result)
+            queue.append(result)
+
+
+def _walk(closure, n, seed, cap):
+    """(edges, partial count), the count None when the walk finished."""
+    edges = []
+    try:
+        for edge in closure(n, seed, cap):
+            edges.append(edge)
+    except ResourceLimitError as error:
+        return edges, error.partial_count
+    return edges, None
+
+
+def _direct_edges(n, key):
+    simples = _minimal_simples(n, key, _PushMemo())
+    return list(zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)))
+
+
+class TestFlipTwins:
+    """The closure expands one vertex of each pair {x, tau(x)} and reads
+    the other's edges off by the flip."""
+
+    @pytest.mark.parametrize(
+        "n, length, words", [(3, 8, 8), (4, 8, 8), (5, 6, 8), (6, 5, 6), (7, 4, 4)]
+    )
+    def test_same_walk_as_expanding_every_vertex(self, n, length, words):
+        """The same edges, in the same order, and the same partial count
+        under every cap, as the walk that expands every vertex."""
+        derived = 0
+        for seed in range(words):
+            summit, _ = _drive_to_summit(n, _word_key(random_word(n, length, 900 + seed)))
+            for cap in (1, 3, 50, DEFAULT_SSS_LIMIT):
+                walk = _walk(_summit_closure, n, summit, cap)
+                assert walk == _walk(_expand_every_vertex, n, summit, cap)
+            keys = {key for key, _, _ in walk[0]}
+            derived += sum(1 for key in keys if _flip_key(n, key) != key)
+        assert derived > 0
+
+    @pytest.mark.parametrize("n, length, words", [(3, 8, 8), (4, 6, 8), (5, 6, 8), (6, 4, 4)])
+    def test_flipped_edges_match_direct_expansion(self, n, length, words):
+        """On every vertex x of seeded summit sets, the flips of x's edges
+        are the minimal simple elements of tau(x), in order, and their
+        kernel conjugates."""
+        flipped = 0
+        for seed in range(words):
+            for key in super_summit_set(random_word(n, length, 700 + seed)).keys:
+                twin = _flip_key(n, key)
+                assert _flip_edges(n, _direct_edges(n, key)) == _direct_edges(n, twin)
+                flipped += twin != key
+        assert flipped > 0
+
+    def test_flipped_edges_keep_atom_order(self):
+        """The flip reverses the atoms, but not always the order of the
+        minimal simple elements: in this B_4 set, two twins each have two,
+        with atom prefixes {1, 3} and {2}, listed in that order on both
+        sides."""
+        keys = super_summit_set(parse_word("4: 1 -1 -3 2 -1 2 -3 1 -3 -2")).keys
+        not_reversed = 0
+        for key in keys:
+            edges = _direct_edges(4, key)
+            flipped = _flip_edges(4, edges)
+            assert flipped == _direct_edges(4, _flip_key(4, key))
+            not_reversed += flipped != [(_tau_flat(4, s), _flip_key(4, c)) for s, c in edges[::-1]]
+        assert (len(keys), not_reversed) == (4, 2)
+
+    def test_a_wrong_flip_fails_its_edge(self, monkeypatch):
+        """A flip that pairs each derived simple element with the conjugate
+        of the one before it names summit elements that the edge does not
+        reach; super_summit_set catches them by the edge check. (Leaving
+        the conjugates unflipped would name x's neighbours, which the walk
+        has seen already and skips.)"""
+        honest = garside._flip_edges
+
+        def mispaired(n, edges):
+            flipped = honest(n, edges)
+            return [(s, flipped[k - 1][1]) for k, (s, _) in enumerate(flipped)]
+
+        monkeypatch.setattr(garside, "_flip_edges", mispaired)
+        with pytest.raises(RuntimeError, match="summit edge failed verification"):
+            super_summit_set(parse_word("4: 2 1 1 -2 -2 3 3 -1 -2"))
 
 
 class TestAreConjugate:

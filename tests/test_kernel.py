@@ -127,6 +127,28 @@ class TestAgainstFixpoint:
             )
 
 
+class TestTauFlat:
+    @staticmethod
+    def byte_loop(n: int, flat: bytes) -> bytes:
+        """tau(A)[k] = n-1-A[n-1-k], factor by factor, byte by byte."""
+        out = bytearray(len(flat))
+        for off in range(0, len(flat), n):
+            for t in range(n):
+                out[off + t] = n - 1 - flat[off + n - 1 - t]
+        return bytes(out)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_byte_loop(self, n):
+        """Empty, one-factor and many-factor flats, including the identity
+        and Delta, which tau fixes."""
+        rng = random.Random(300 + n)
+        flats = [b"", bytes(range(n)), bytes(range(n))[::-1]]
+        flats += [random_flat(rng, n, factors) for factors in (1, 1, 2, 3, 7, 20)]
+        for flat in flats:
+            assert _native._tau_flat(n, flat) == self.byte_loop(n, flat)
+            assert _native._tau_flat(n, _native._tau_flat(n, flat)) == flat
+
+
 class TestNormalizeContract:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_output_is_left_weighted(self, n):
