@@ -1,20 +1,6 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled kernel is an optional speedup: the package falls back to
-# braidkit._native when braidkit._speedups is not importable. Set
-# BRAIDKIT_NO_EXTENSION=1 to skip compilation entirely.
-ext_modules = []
-if not os.environ.get("BRAIDKIT_NO_EXTENSION"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [Extension("braidkit._speedups", ["src/braidkit/_speedups.pyx"])],
-            language_level=3,
-        )
-
-setup(ext_modules=ext_modules)
+# The compiled kernel is an optional speedup: on a machine without a C
+# compiler the build skips it, and the package falls back to
+# braidkit._native when braidkit._speedups is not importable.
+setup(ext_modules=[Extension("braidkit._speedups", ["src/braidkit/_speedups.c"], optional=True)])

@@ -1,10 +1,13 @@
 """Kernel backend selection.
 
-The compiled kernels in ``braidkit._speedups`` are preferred when the
-extension built; otherwise the pure-Python twins in ``braidkit._native``
-take over transparently. Set ``BRAIDKIT_PURE=1`` in the environment to
-force the pure backend. The backend-selection tests set it; the parity
-tests import both backends directly.
+The kernel is three functions, ``normalize``, ``multiply`` and
+``conjugate_batch``, on normal-form keys. The hand-written C kernels in
+``braidkit._speedups`` are preferred when the extension built; otherwise
+the pure-Python twins in ``braidkit._native``, which run the same
+algorithm, take over transparently. Set ``BRAIDKIT_PURE=1`` in the
+environment to force the pure backend. The backend-selection tests set
+it; the parity tests compile the C file and compare both backends
+directly.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ else:
 
 normalize = _impl.normalize
 multiply = _impl.multiply
-conjugate_by_simple = _impl.conjugate_by_simple
 conjugate_batch = _impl.conjugate_batch
 
 

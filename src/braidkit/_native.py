@@ -1,11 +1,13 @@
 """Pure-Python permutation-braid kernels.
 
-``braidkit._speedups`` is the compiled twin of this module;
-``braidkit._kernel`` selects one of the two at import time. The twins
-agree on results, not on algorithm: the left normal form is unique, so
-both return bit-identical keys (tests/test_kernel.py checks this on
-random inputs), but this module slides each appended factor leftward
-once where the compiled kernel repeats full passes until nothing moves.
+``braidkit._speedups`` is the compiled twin of this module, written in
+C against the CPython API; ``braidkit._kernel`` selects one of the two
+at import time. The twins share the algorithm, not only the results:
+both append one factor at a time and slide it leftward (``_left_weight``)
+and both return bit-identical keys (tests/test_kernel.py checks this on
+random inputs and on whole workloads). The compiled twin also checks
+its arguments; this module is called only with the Garside layer's own
+keys and checks nothing on the hot path.
 
 Data layout: a canonical factor of B_n is a permutation of
 ``{0, ..., n-1}`` stored as ``n`` bytes, image of ``k`` at offset ``k``.
@@ -69,9 +71,6 @@ def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, byte
         return delta, b""
     buf = bytearray(flat)
     inv = bytearray(n)
-    # Each move lengthens A and shortens B by one crossing, and a simple
-    # element has at most n(n-1)/2 of them.
-    bound = n * (n - 1) // 2
     for b in range(max(start, 1) * n, m * n, n):
         while b:
             a = b - n
@@ -86,9 +85,9 @@ def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, byte
                         break
                 if move < 0:
                     break
+                # Each move removes one inversion from B, so a pair takes
+                # at most n(n-1)/2 of them.
                 moves += 1
-                if moves > bound:
-                    raise RuntimeError("factor sliding failed to converge")
                 # Strip crossing `move` from the front of B: swap entries.
                 buf[b + move], buf[b + move + 1] = buf[b + move + 1], buf[b + move]
                 # Append it to A: swap the values move, move+1.
@@ -148,27 +147,24 @@ def multiply(n: int, p1: int, flat1: bytes, p2: int, flat2: bytes) -> tuple[int,
     return _left_weight(n, p1 + p2, first + flat2, len(flat1) // n)
 
 
-def conjugate_by_simple(n: int, p: int, flat: bytes, s: bytes) -> tuple[int, bytes]:
-    """Normal form of s^-1 * (Delta^p * flat) * s for a simple element s.
-
-    s^-1 = Delta^-1 * (Delta s^-1) and Delta s^-1 is again simple, so the
-    input rewrites to Delta^(p-1) * tau^p(Delta s^-1) * flat * s.
-    """
-    if n == 1:
-        return 0, b""
-    inv = bytearray(n)
-    for t in range(n):
-        inv[s[t]] = t
-    head = bytearray(n)
-    for t in range(n):
-        head[t] = inv[n - 1 - t]
-    if p % 2:
-        head = bytearray(_tau_flat(n, bytes(head)))
-    return normalize(n, p - 1, bytes(head) + flat + s)
-
-
 def conjugate_batch(
     n: int, p: int, flat: bytes, simples: Sequence[bytes]
 ) -> list[tuple[int, bytes]]:
-    """conjugate_by_simple against every element of ``simples``, in order."""
-    return [conjugate_by_simple(n, p, flat, s) for s in simples]
+    """Normal forms of s^-1 * (Delta^p * flat) * s for each simple element
+    s of ``simples``, in order.
+
+    s^-1 = Delta^-1 * (Delta s^-1) and Delta s^-1 is again simple, the
+    permutation t -> s^-1(n-1-t), so each conjugate rewrites to
+    Delta^(p-1) * tau^p(Delta s^-1) * flat * s; tau(Delta s^-1) is
+    t -> n-1-s^-1(t).
+    """
+    if n == 1:
+        return [(0, b"")] * len(simples)
+    out = []
+    for s in simples:
+        inv = bytearray(n)
+        for t in range(n):
+            inv[s[t]] = t
+        head = inv.translate(_flip_table(n)) if p % 2 else inv[::-1]
+        out.append(_left_weight(n, p - 1, bytes(head) + flat + s, 1))
+    return out

@@ -32,7 +32,10 @@ product on each side, so each element it returns is proven conjugate to
 the input; a conjugator is built from the edges, and re-verified end to
 end, only when one is read (SuperSummitSet). are_conjugate builds the
 conjugator of the vertex it finds and re-checks the certificate it
-returns through the word equation. Any failed check raises RuntimeError.
+returns through the word equation. A finished walk must be closed under
+tau, as every summit set is, before super_summit_set returns it or
+are_conjugate answers "not conjugate". Any failed check raises
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -774,6 +777,13 @@ def _verify_track(n: int, w_key: _NfKey, key: _NfKey, track: _NfKey) -> None:
         raise RuntimeError("internal error: summit conjugator failed verification")
 
 
+def _check_tau_closed(n: int, tree: _Tree) -> None:
+    """Raise unless every walked element's flip was walked too: a walk that
+    named only elements it had seen may have stopped short."""
+    if any(_flip_key(n, key) not in tree for key in tree):
+        raise RuntimeError("internal error: the summit set is not closed under tau")
+
+
 def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSummitSet:
     """The full super summit set of ``w``, as a view over the keys of its
     elements and the closure's breadth-first tree.
@@ -781,8 +791,9 @@ def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSu
     Verified before returning: the seed's track end to end,
     ``track * w * track^-1 = seed``, and every other element by its edge,
     ``parent * s = s * element``, two products with a one-factor operand.
-    By induction every element is conjugate to w. No conjugator is built
-    here; SuperSummitSet builds and re-verifies them when they are read.
+    By induction every element is conjugate to w; the set must also be
+    closed under tau (_check_tau_closed). No conjugator is built here;
+    SuperSummitSet builds and re-verifies them when they are read.
 
     Raises ValueError when ``max_size`` < 1, ResourceLimitError when the
     set would exceed it, RuntimeError when a check fails.
@@ -801,6 +812,7 @@ def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSu
             if _mul(n, parent, (0, s)) != _mul(n, (0, s), key):
                 raise RuntimeError("internal error: a summit edge failed verification")
         tree[key] = (parent, s)
+    _check_tau_closed(n, tree)
     keys = tuple(sorted(tree, key=lambda key: (key[0], len(key[1]), key[1])))
     return SuperSummitSet(n, w_key, seed_track, keys, tree)
 
@@ -836,6 +848,7 @@ def are_conjugate(
         if key == b_summit:
             break
     else:
+        _check_tau_closed(n, tree)
         return None
     found = _tree_track(n, tree, b_summit, a_track)
     certificate = ConjugacyCertificate(n, _mul(n, _inv(n, b_track), found))

@@ -1,11 +1,26 @@
-"""Shared test helpers: relation rewriting, oracles, word strategies."""
+"""Shared test helpers: relation rewriting, oracles, word strategies, and
+the compiled kernel built from its C source."""
 
 from __future__ import annotations
+
+import importlib.util
+import pathlib
+import shutil
+import subprocess
+import sys
+import sysconfig
+
+import pytest
+
+# The suite leaves no bytecode under src/: this runs before braidkit is imported.
+sys.dont_write_bytecode = True
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from braidkit import BraidWord, FreeWord, SplitMix64, artin_action
+
+SPEEDUPS_C = pathlib.Path(__file__).resolve().parent.parent / "src" / "braidkit" / "_speedups.c"
 
 settings.register_profile(
     "braidkit",
@@ -107,3 +122,26 @@ def free_words(max_rank: int = 5, max_len: int = 12) -> st.SearchStrategy[FreeWo
         return st.lists(letter, max_size=max_len).map(lambda ls: FreeWord(n, tuple(ls)))
 
     return st.integers(1, max_rank).flatmap(words_for)
+
+
+@pytest.fixture(scope="session")
+def speedups(tmp_path_factory):
+    """``braidkit._speedups`` compiled from its C source by the system C
+    compiler into a temp dir, and loaded from there.
+
+    Nothing is written under src/: a compiled module left beside the
+    package would make every later import of braidkit in that checkout
+    pick the C backend. Skips only when there is no C compiler.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler: cc is not on PATH")
+    out = tmp_path_factory.mktemp("speedups") / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    include = sysconfig.get_paths()["include"]
+    subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", "-I", include, str(SPEEDUPS_C), "-o", str(out)], check=True
+    )
+    spec = importlib.util.spec_from_file_location("braidkit._speedups", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -495,6 +495,33 @@ class TestFlipTwins:
         with pytest.raises(RuntimeError, match="summit edge failed verification"):
             super_summit_set(parse_word("4: 2 1 1 -2 -2 3 3 -1 -2"))
 
+    def test_a_short_walk_fails_the_tau_check(self, monkeypatch):
+        """A flip that leaves the conjugates unflipped names x's own
+        neighbours, which the walk has seen and skips: no wrong edge is
+        yielded, but the walk ends after 39 of the 62 elements. That set is
+        not closed under tau, so super_summit_set raises instead of
+        returning it, and are_conjugate raises instead of answering "not
+        conjugate" for an element the walk missed."""
+        w = parse_word("4: 2 1 1 -2 -2 3 3 -1 -2")
+        keys = super_summit_set(w).keys
+        summit, _ = _drive_to_summit(4, _word_key(w))
+        honest = garside._flip_edges
+
+        def unflipped(n, edges):
+            return [(s, _flip_key(n, key)) for s, key in honest(n, edges)]
+
+        monkeypatch.setattr(garside, "_flip_edges", unflipped)
+        walked = {key for key, _, _ in _summit_closure(4, summit, DEFAULT_SSS_LIMIT)}
+        assert (len(keys), len(walked)) == (62, 39)
+        with pytest.raises(RuntimeError, match="not closed under tau"):
+            super_summit_set(w)
+        missed = next(key for key in keys if _drive_to_summit(4, key)[0] not in walked)
+        b = BraidWord(4, _word_of_key(4, missed))
+        with pytest.raises(RuntimeError, match="not closed under tau"):
+            are_conjugate(w, b)
+        monkeypatch.setattr(garside, "_flip_edges", honest)
+        assert are_conjugate(w, b).verifies(w, b)
+
 
 class TestAreConjugate:
     def test_generators_are_conjugate(self):

@@ -1,26 +1,28 @@
 """Kernel backends: the compiled and pure-Python twins must agree bit for
-bit, and normalize must emit genuinely left-weighted factor sequences."""
+bit, and normalize must emit genuinely left-weighted factor sequences.
+
+The compiled twin is built from its C source by the session fixture
+``speedups`` (tests/conftest.py), never from a module left in the checkout.
+"""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import pathlib
 import random
+import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+import test_classify_golden
+import test_garside
 
-from braidkit import _native
+from braidkit import _kernel, _native, garside
 from braidkit.garside import _letters_to_factors
 from braidkit.words import random_word
-
-try:
-    from braidkit import _speedups
-except ImportError:
-    _speedups = None
-
-needs_speedups = pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
 
 
 def random_flat(rng: random.Random, n: int, factors: int) -> bytes:
@@ -122,7 +124,7 @@ class TestAgainstFixpoint:
             head = inverse(s)[::-1]
             if p1 % 2:
                 head = _native._tau_flat(n, head)
-            assert _native.conjugate_by_simple(n, *x, s) == fixpoint_normalize(
+            assert _native.conjugate_batch(n, *x, [s])[0] == fixpoint_normalize(
                 n, p1 - 1, head + flat1 + s
             )
 
@@ -177,50 +179,189 @@ class TestNormalizeContract:
         assert _native.normalize(4, -2, b"") == (-2, b"")
 
 
-@needs_speedups
 class TestBackendParity:
-    def test_normalize(self):
+    def test_normalize(self, speedups):
         rng = random.Random(42)
         for _ in range(3000):
             n = rng.randint(1, 7)
-            args = (n, rng.randint(-4, 4), random_flat(rng, n, rng.randint(0, 6)))
-            assert _native.normalize(*args) == _speedups.normalize(*args)
+            draw = special_flat if rng.random() < 0.3 else random_flat
+            args = (n, rng.randint(-4, 4), draw(rng, n, rng.randint(0, 6)))
+            assert _native.normalize(*args) == speedups.normalize(*args)
 
-    def test_multiply(self):
+    def test_multiply(self, speedups):
         rng = random.Random(43)
         for _ in range(1500):
-            n = rng.randint(2, 6)
+            n = rng.randint(1, 6)
             x = _native.normalize(n, rng.randint(-3, 3), random_flat(rng, n, rng.randint(0, 4)))
             y = _native.normalize(n, rng.randint(-3, 3), random_flat(rng, n, rng.randint(0, 4)))
-            assert _native.multiply(n, *x, *y) == _speedups.multiply(n, *x, *y)
+            assert _native.multiply(n, *x, *y) == speedups.multiply(n, *x, *y)
 
-    def test_conjugate(self):
+    def test_conjugate(self, speedups):
         rng = random.Random(44)
         for _ in range(1500):
-            n = rng.randint(2, 6)
+            n = rng.randint(1, 6)
             x = _native.normalize(n, rng.randint(-3, 3), random_flat(rng, n, rng.randint(0, 4)))
             s = random_flat(rng, n, 1)
-            assert _native.conjugate_by_simple(n, *x, s) == _speedups.conjugate_by_simple(
-                n, *x, s
-            )
+            assert _native.conjugate_batch(n, *x, [s]) == speedups.conjugate_batch(n, *x, [s])
 
-    def test_conjugate_batch(self):
+    def test_conjugate_batch(self, speedups):
         rng = random.Random(45)
         for n in (2, 3, 4):
             # Every nontrivial simple element; the first permutation is the identity.
             simples = [bytes(p) for p in itertools.permutations(range(n))][1:]
             for _ in range(50):
                 x = _native.normalize(n, rng.randint(-2, 2), random_flat(rng, n, rng.randint(0, 4)))
-                assert _native.conjugate_batch(n, *x, simples) == _speedups.conjugate_batch(
+                assert _native.conjugate_batch(n, *x, simples) == speedups.conjugate_batch(
                     n, *x, simples
                 )
+        assert speedups.conjugate_batch(4, 1, bytes(range(4)), []) == []
 
-    def test_on_real_words(self):
+    def test_on_real_words(self, speedups):
         for seed in range(100):
             n = 2 + seed % 5
             word = random_word(n, 3 * (seed % 8), seed)
             p, flat = _letters_to_factors(n, word.letters)
-            assert _native.normalize(n, p, flat) == _speedups.normalize(n, p, flat)
+            assert _native.normalize(n, p, flat) == speedups.normalize(n, p, flat)
+
+    def test_long_sequences(self, speedups):
+        """Many factors in B_7 and B_12, where one appended factor can
+        slide back through several pairs."""
+        rng = random.Random(46)
+        for n, factors in ((7, 60), (12, 30)):
+            for _ in range(20):
+                args = (n, rng.randint(-3, 3), random_flat(rng, n, factors))
+                assert _native.normalize(*args) == speedups.normalize(*args)
+                x = _native.normalize(*args)
+                y = _native.normalize(n, 1, random_flat(rng, n, factors // 2))
+                assert _native.multiply(n, *x, *y) == speedups.multiply(n, *x, *y)
+
+
+class TestCompiledArguments:
+    """The C kernel checks what it is given, so no input makes it read or
+    write outside its buffers; _native is called only with the Garside
+    layer's own keys and checks nothing."""
+
+    @pytest.mark.parametrize("n", [0, -1, 256, 1000])
+    def test_strand_count_out_of_range(self, speedups, n):
+        with pytest.raises(ValueError, match="strand count"):
+            speedups.normalize(n, 0, b"")
+        with pytest.raises(ValueError, match="strand count"):
+            speedups.multiply(n, 0, b"", 0, b"")
+        with pytest.raises(ValueError, match="strand count"):
+            speedups.conjugate_batch(n, 0, b"", [])
+
+    def test_largest_strand_count(self, speedups):
+        """n = 255 is the largest a byte permutation can have."""
+        delta, ident = bytes(range(254, -1, -1)), bytes(range(255))
+        assert speedups.normalize(255, 0, delta + ident) == (1, b"")
+        assert speedups.conjugate_batch(255, 2, b"", [delta]) == [(2, b"")]
+
+    def test_partial_factors(self, speedups):
+        whole, partial = bytes((1, 0, 2)), bytes((1, 0))
+        with pytest.raises(ValueError, match="multiple of n"):
+            speedups.normalize(3, 0, whole + partial)
+        with pytest.raises(ValueError, match="multiple of n"):
+            speedups.multiply(3, 0, partial, 0, whole)
+        with pytest.raises(ValueError, match="multiple of n"):
+            speedups.multiply(3, 0, whole, 0, partial)
+        with pytest.raises(ValueError, match="multiple of n"):
+            speedups.conjugate_batch(3, 0, partial, [whole])
+
+    @pytest.mark.parametrize("s", [b"", bytes((1,)), bytes((1, 0)), bytes((1, 0, 2, 3))])
+    def test_simple_element_of_the_wrong_length(self, speedups, s):
+        """A short simple element would otherwise be read past its end."""
+        with pytest.raises(ValueError, match="n bytes long"):
+            speedups.conjugate_batch(3, 0, bytes((1, 0, 2)), [bytes((0, 2, 1)), s])
+
+    @pytest.mark.parametrize("bad", [bytearray(3), memoryview(bytes(3)), "abc", None, [0, 1, 2]])
+    def test_non_bytes(self, speedups, bad):
+        with pytest.raises(TypeError):
+            speedups.normalize(3, 0, bad)
+        with pytest.raises(TypeError):
+            speedups.multiply(3, 0, b"", 0, bad)
+        with pytest.raises(TypeError):
+            speedups.conjugate_batch(3, 0, bad, [])
+        with pytest.raises(TypeError):
+            speedups.conjugate_batch(3, 0, b"", [bytes((0, 2, 1)), bad])
+        with pytest.raises(TypeError):
+            speedups.conjugate_batch(3, "0", b"", [])
+
+    def test_wrong_arguments(self, speedups):
+        """Arguments are read by position, so a call with too few must not
+        reach the missing ones; keywords and a strand count that is not
+        an int are refused too."""
+        with pytest.raises(TypeError, match="takes 3 arguments"):
+            speedups.normalize(3, 0)
+        with pytest.raises(TypeError, match="takes 5 arguments"):
+            speedups.multiply(3, 0, b"", 0)
+        with pytest.raises(TypeError, match="takes 4 arguments"):
+            speedups.conjugate_batch(3, 0, b"", [], [])
+        with pytest.raises(TypeError):
+            speedups.normalize(n=3, delta=0, flat=b"")
+        with pytest.raises(TypeError):
+            speedups.normalize("3", 0, b"")
+        with pytest.raises(TypeError):
+            speedups.conjugate_batch(3.0, 0, b"", [])
+
+    def test_errors_free_what_they_took(self, speedups):
+        """Failed calls hold on to nothing: the list of simple elements a
+        generator was turned into is released, and memory stays flat over
+        many failures."""
+        simples = [bytes((0, 2, 1)), bytes((1, 0))]
+        refs = sys.getrefcount(simples)
+        flat = bytes((1, 0, 2)) * 500
+
+        def fail() -> int:
+            raised = 0
+            for args in (
+                (3, 0, flat, simples),
+                (3, 0, flat, iter(simples)),
+                (3, 0, flat, (s for s in simples)),
+                (3, 0, flat, [bytes((0, 2, 1)), None]),
+            ):
+                try:
+                    speedups.conjugate_batch(*args)
+                except (TypeError, ValueError):
+                    raised += 1
+            return raised
+
+        assert fail() == 4
+        tracemalloc.start()
+        try:
+            # The first round fills the interpreter's free lists; a leak
+            # keeps growing through the second.
+            traced = []
+            for _ in range(2):
+                for _ in range(3000):
+                    fail()
+                traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert traced[1] - traced[0] < 10_000
+        assert sys.getrefcount(simples) == refs
+
+    def test_deltas_beyond_the_kernel(self, speedups):
+        with pytest.raises(OverflowError):
+            speedups.normalize(3, 2**62, b"")
+        with pytest.raises(OverflowError):
+            speedups.multiply(3, 0, b"", -(2**70), b"")
+
+
+class TestCompiledWorkloads:
+    def test_goldens(self, speedups, monkeypatch):
+        """The SSS and classify goldens, run with every kernel call of the
+        Garside layer on the compiled kernel, give their pinned hashes. The
+        cache of simple inverses starts empty, so it holds the C kernel's
+        results too."""
+        for name in ("normalize", "multiply", "conjugate_batch"):
+            monkeypatch.setattr(_kernel, name, getattr(speedups, name))
+        fresh = functools.lru_cache(maxsize=None)(garside._simple_inv_nf.__wrapped__)
+        monkeypatch.setattr(garside, "_simple_inv_nf", fresh)
+        test_garside.TestSuperSummitSet().test_golden()
+        test_classify_golden.test_curated_words()
+        test_classify_golden.test_embedded_b3_words()
+        test_classify_golden.test_conjugated_b4_words()
+        assert fresh.cache_info().currsize > 0
 
 
 class TestBackendSelection:
@@ -230,9 +371,9 @@ class TestBackendSelection:
         "print(braidkit.normal_form(braidkit.BraidWord(3, (1, 2, 1, 2))))"
     )
 
-    def run_with_env(self, pure: bool) -> list[str]:
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = {"PYTHONPATH": src, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
+    def run_with_env(self, pure: bool, src: pathlib.Path | None = None) -> list[str]:
+        src = src or pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
         if pure:
             env["BRAIDKIT_PURE"] = "1"
         result = subprocess.run(
@@ -249,8 +390,15 @@ class TestBackendSelection:
         assert backend == "python"
         assert nf == "D^1 | (1 3 2)"
 
-    @needs_speedups
-    def test_default_prefers_compiled(self):
-        backend, nf = self.run_with_env(pure=False)
+    def test_default_prefers_compiled(self, speedups, tmp_path):
+        """A copy of the package with the built module beside it, as an
+        install with a compiler leaves it, picks the C backend."""
+        package = pathlib.Path(garside.__file__).parent
+        copy = tmp_path / "braidkit"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+        shutil.copy(speedups.__file__, copy)
+        backend, nf = self.run_with_env(pure=False, src=tmp_path)
         assert backend == "c"
         assert nf == "D^1 | (1 3 2)"
+        backend, _ = self.run_with_env(pure=True, src=tmp_path)
+        assert backend == "python"
