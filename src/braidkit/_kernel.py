@@ -1,13 +1,14 @@
 """Kernel backend selection.
 
-The kernel is three functions, ``normalize``, ``multiply`` and
-``conjugate_batch``, on normal-form keys. The hand-written C kernels in
-``braidkit._speedups`` are preferred when the extension built; otherwise
-the pure-Python twins in ``braidkit._native``, which run the same
-algorithm, take over transparently. Set ``BRAIDKIT_PURE=1`` in the
-environment to force the pure backend. The backend-selection tests set
-it; the parity tests compile the C file and compare both backends
-directly.
+The kernel is four functions on normal-form keys: ``normalize``,
+``multiply`` and ``conjugate_batch``, and ``minimal_simples``, the
+summit walk's step from a vertex to the simple elements that it is
+conjugated by. The hand-written C kernels in ``braidkit._speedups`` are
+preferred when the extension built; otherwise the pure-Python twins in
+``braidkit._native``, which run the same algorithm, take over
+transparently. Set ``BRAIDKIT_PURE=1`` in the environment to force the
+pure backend. The backend-selection tests set it; the parity tests
+compile the C file and compare both backends directly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ else:
 normalize = _impl.normalize
 multiply = _impl.multiply
 conjugate_batch = _impl.conjugate_batch
+minimal_simples = _impl.minimal_simples
 
 
 def backend_name() -> str:

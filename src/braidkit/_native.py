@@ -3,11 +3,16 @@
 ``braidkit._speedups`` is the compiled twin of this module, written in
 C against the CPython API; ``braidkit._kernel`` selects one of the two
 at import time. The twins share the algorithm, not only the results:
-both append one factor at a time and slide it leftward (``_left_weight``)
-and both return bit-identical keys (tests/test_kernel.py checks this on
-random inputs and on whole workloads). The compiled twin also checks
-its arguments; this module is called only with the Garside layer's own
-keys and checks nothing on the hot path.
+both append one factor at a time and slide it leftward, resuming each
+pair's scan at i-1 after a move at i (``_left_weight``); both take the
+summit walk's step, a vertex's minimal simple elements, by the same
+pushes and joins on inversion sets (``minimal_simples``); and both
+return bit-identical results (tests/test_kernel.py checks this on random
+inputs, on every vertex of summit sets and on whole workloads). Only
+this twin memoizes pushes, in a dict that the caller keeps for one
+walk. The compiled twin also checks its arguments; this module is
+called only with the Garside layer's own keys and checks nothing on the
+hot path.
 
 Data layout: a canonical factor of B_n is a permutation of
 ``{0, ..., n-1}`` stored as ``n`` bytes, image of ``k`` at offset ``k``.
@@ -60,8 +65,11 @@ def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, byte
     A^-1; then the pair before it, whose right factor has grown, and so
     on, stopping at the first pair that does not change (El-Rifai &
     Morton, "Algorithms for positive braids", Quart. J. Math. 45, 1994).
-    At the end every leading factor equal to Delta migrates into the
-    Delta power and every trailing identity factor is dropped.
+    A move at i changes only the tests at i-1, i and i+1, so the scan for
+    the smallest eligible index resumes at i-1: the same moves as a
+    rescan from 0. At the end every leading factor equal to Delta
+    migrates into the Delta power and every trailing identity factor is
+    dropped.
     """
     if n == 1:
         # B_1 is trivial and Delta is the identity, so everything collapses.
@@ -76,25 +84,23 @@ def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, byte
             a = b - n
             for t in range(n):
                 inv[buf[a + t]] = t
-            moves = 0
-            while True:
-                move = -1
-                for i in range(n - 1):
-                    if buf[b + i] > buf[b + i + 1] and inv[i] < inv[i + 1]:
-                        move = i
-                        break
-                if move < 0:
-                    break
+            moves = i = 0
+            while i < n - 1:
+                if not (buf[b + i] > buf[b + i + 1] and inv[i] < inv[i + 1]):
+                    i += 1
+                    continue
                 # Each move removes one inversion from B, so a pair takes
                 # at most n(n-1)/2 of them.
                 moves += 1
-                # Strip crossing `move` from the front of B: swap entries.
-                buf[b + move], buf[b + move + 1] = buf[b + move + 1], buf[b + move]
-                # Append it to A: swap the values move, move+1.
-                pa, pb = inv[move], inv[move + 1]
-                buf[a + pa] = move + 1
-                buf[a + pb] = move
-                inv[move], inv[move + 1] = pb, pa
+                # Strip crossing i from the front of B: swap entries.
+                buf[b + i], buf[b + i + 1] = buf[b + i + 1], buf[b + i]
+                # Append it to A: swap the values i, i+1.
+                pa, pb = inv[i], inv[i + 1]
+                buf[a + pa] = i + 1
+                buf[a + pb] = i
+                inv[i], inv[i + 1] = pb, pa
+                if i:
+                    i -= 1
             if not moves:
                 break
             b = a
@@ -168,3 +174,138 @@ def conjugate_batch(
         head = inv.translate(_flip_table(n)) if p % 2 else inv[::-1]
         out.append(_left_weight(n, p - 1, bytes(head) + flat + s, 1))
     return out
+
+
+# -- the prefix order and minimal simple elements ---------------------------------
+#
+# A simple element s is a prefix of t (s <= t: s^-1 t is positive) iff the
+# position-inversion set of s, the pairs i < j with s[i] > s[j], lies in
+# that of t. A product s * u of simple elements whose lengths add is the
+# permutation k -> u[s[k]].
+
+
+def _inversions(perm: bytes) -> int:
+    """The position-inversion set of a simple element as a bitmask: bit
+    i*n + j is set iff i < j and perm[i] > perm[j]."""
+    n = len(perm)
+    positions = bytearray(n)
+    for k, v in enumerate(perm):
+        positions[v] = k
+    below = [0] * n  # below[v]: the positions of the values under v
+    mask = 0
+    for v, pos in enumerate(positions):
+        below[v] = mask
+        mask |= 1 << pos
+    out = 0
+    for i, v in enumerate(perm):
+        out |= (below[v] & -(2 << i)) << (i * n)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _columns(n: int) -> tuple[int, ...]:
+    """Mask k selects the inversion bits (i, k), i < k."""
+    return tuple(sum(1 << (i * n + k) for i in range(k)) for k in range(n))
+
+
+def _closure_simple(n: int, inversions: int) -> bytes:
+    """The simple element whose inversion set is the transitive closure of
+    ``inversions``. For the union of two inversion sets that is their
+    join, the least common multiple in the prefix order."""
+    full = (1 << n) - 1
+    for i in range(n - 3, -1, -1):
+        # The rows below i are closed, so adding theirs closes row i.
+        row = pending = inversions >> (i * n) & full
+        while pending:
+            low = pending & -pending
+            row |= inversions >> ((low.bit_length() - 1) * n) & full
+            pending ^= low
+        inversions |= row << (i * n)
+    # The value at k counts the positions holding smaller values: the
+    # inversions (k, j) to its right and the non-inversions (i, k) to its left.
+    columns = _columns(n)
+    return bytes(
+        (inversions >> (k * n) & full).bit_count() + k - (inversions & columns[k]).bit_count()
+        for k in range(n)
+    )
+
+
+def _known(memo: dict, perm: bytes) -> tuple[bytes, int]:
+    """The memo's one copy of a simple element, with its inversion set."""
+    found = memo.get(perm)
+    if found is None:
+        found = memo[perm] = perm, _inversions(perm)
+    return found
+
+
+def _push(memo: dict, a: bytes, f: bytes) -> bytes:
+    """f^-1 (a v f): the simple element y0 such that a <= f * y iff y0 <= y,
+    for every positive y. Keyed in the memo by the concatenation a + f."""
+    pair = a + f
+    pushed = memo.get(pair)
+    if pushed is None:
+        joined = _closure_simple(len(f), _known(memo, a)[1] | _known(memo, f)[1])
+        quotient = bytearray(len(f))
+        for k, v in enumerate(f):
+            quotient[v] = joined[k]
+        pushed = memo[pair] = _known(memo, bytes(quotient))[0]
+    return pushed
+
+
+def minimal_simples(
+    n: int, p: int, flat: bytes, ip: int, iflat: bytes, memo: dict
+) -> list[bytes]:
+    """The minimal simple elements of a summit element x = Delta^p * flat,
+    in atom order, given x^-1 = Delta^ip * iflat too.
+
+    For each atom sigma_i, rho(sigma_i) is the least simple s >= sigma_i
+    with s^-1 x s in the super summit set. The minimal simple elements are
+    the prefix-minimal rho's, at most n-1 of them, and the summit set is
+    connected under them (Franco & Gonzalez-Meneses, "Conjugacy problem
+    for braid groups and Garside groups", J. Algebra 266, 2003).
+
+    For x = Delta^p x_1..x_r, inf(s^-1 x s) >= p iff tau^p(s) <= x_1..x_r s,
+    that is iff a, tau^p(s) pushed through x_1, ..., x_r, is a prefix of
+    s. Otherwise the join s v a is a larger lower bound for every
+    admissible s. The same test on x^-1 keeps sup, and rho(sigma_i) is
+    the first s, raised from sigma_i, that passes both tests.
+
+    ``memo`` is a dict that the caller keeps for one closure walk, which
+    meets the same few simple elements at vertex after vertex: it holds
+    each once, with its inversion set, and every push. The C twin ignores
+    it.
+    """
+    identity = bytes(range(n))
+    sides = [
+        (q % 2, [f[off : off + n] for off in range(0, len(f), n)])
+        for q, f in ((p, flat), (ip, iflat))
+    ]
+    rhos = []
+    for i in range(n - 1):
+        atom = bytearray(identity)
+        atom[i], atom[i + 1] = i + 1, i
+        s = bytes(atom)
+        settled = side = 0
+        while settled < 2:
+            odd, factors = sides[side]
+            side ^= 1
+            a = _tau_flat(n, s) if odd else s
+            for f in factors:
+                if a == identity:  # the identity pushes to itself
+                    break
+                a = _push(memo, a, f)
+            below = _known(memo, s)[1]
+            missing = _known(memo, a)[1] & ~below
+            if missing:
+                s = _closure_simple(n, below | missing)
+                settled = 0
+            else:
+                settled += 1
+        rhos.append(s)
+    # rho(sigma_j) <= rho(sigma_i) whenever sigma_j <= rho(sigma_i), so
+    # rho(sigma_i) is minimal iff every atom prefix of it has the same rho.
+    minimal: list[bytes] = []
+    for rho in rhos:
+        if rho not in minimal and all(rhos[j] == rho for j in range(n - 1) if rho[j] > rho[j + 1]):
+            minimal.append(rho)
+    return minimal

@@ -1,16 +1,18 @@
 /* Compiled permutation-braid kernels.
 
    The compiled twin of braidkit._native, with the same algorithm: see
-   that module for the data layout and the sliding. The two return
-   bit-identical keys on every input.
+   that module for the data layout, the sliding and its inner scan, and
+   the summit step (minimal_simples), which here holds inversion sets as
+   rows of bits and keeps no memo. The two return bit-identical results
+   on every input.
 
    Unlike _native, every entry point checks its arguments, so that no
    call can make it read or write outside its buffers: it takes exactly
    its number of arguments, n lies in 1..255, every factor sequence is
    bytes of whole n-byte factors, and every simple element is bytes of
-   length n. Bytes that do not spell permutations give a meaningless key
-   but no stray access, because every index is a byte, below 256, or a
-   position stored in a table that starts zeroed, below n.
+   length n. Bytes that do not spell permutations give a meaningless
+   result but no stray access, because every index is a byte, below 256,
+   or a position stored in a table that starts zeroed, below n.
 
    Build: python3 setup.py build_ext --inplace */
 
@@ -171,7 +173,7 @@ arity(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 }
 
 static PyObject *
-normalize(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+normalize(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     int n;
     long long delta;
@@ -191,7 +193,7 @@ normalize(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-multiply(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+multiply(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     int n;
     long long p1, p2;
@@ -218,7 +220,7 @@ multiply(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-conjugate_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+conjugate_batch(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     int n;
     long long p;
@@ -279,6 +281,154 @@ fail:
     return NULL;
 }
 
+/* Inversion sets, for the prefix order (see _native): row i holds the
+   positions j > i with perm[i] > perm[j], as n bits in w = ceil(n/64)
+   words, so every n in 1..MAX_N fits. */
+typedef unsigned long long word_t;
+
+static void
+inversions(word_t *set, const unsigned char *perm, int n, int w)
+{
+    memset(set, 0, (size_t)n * w * sizeof *set);
+    for (int i = 0; i < n; i++)
+        for (int j = i + 1; j < n; j++)
+            if (perm[i] > perm[j])
+                set[i * w + j / 64] |= 1ULL << (j % 64);
+}
+
+static int
+has(const word_t *set, int i, int j, int w)
+{
+    return (int)(set[i * w + j / 64] >> (j % 64) & 1);
+}
+
+/* Close set transitively and write the simple element with that
+   inversion set into perm: for a union of inversion sets, their join.
+   Rows are closed from the bottom up, so adding the rows of row i's
+   bits closes row i. The value at k counts the positions holding smaller
+   values: the inversions (k, j) to its right and the non-inversions
+   (i, k) to its left. */
+static void
+closure_simple(unsigned char *perm, word_t *set, int n, int w)
+{
+    for (int i = n - 3; i >= 0; i--)
+        for (int j = i + 1; j < n; j++)
+            if (has(set, i, j, w))
+                for (int t = 0; t < w; t++)
+                    set[i * w + t] |= set[j * w + t];
+    for (int k = 0; k < n; k++) {
+        int v = k;
+
+        for (int j = k + 1; j < n; j++)
+            v += has(set, k, j, w);
+        for (int i = 0; i < k; i++)
+            v -= has(set, i, k, w);
+        perm[k] = (unsigned char)v;
+    }
+}
+
+/* a := f^-1 (a v f), the quotient of the join by f. join and quotient
+   take 256 bytes, so a factor whose bytes are no permutation writes no
+   further. */
+static void
+push(unsigned char *a, const unsigned char *f, int n, int w, word_t *set, word_t *scratch,
+     unsigned char *join, unsigned char *quotient)
+{
+    inversions(set, a, n, w);
+    inversions(scratch, f, n, w);
+    for (int t = 0; t < n * w; t++)
+        set[t] |= scratch[t];
+    closure_simple(join, set, n, w);
+    for (int k = 0; k < n; k++)
+        quotient[f[k]] = join[k];
+    memcpy(a, quotient, n);
+}
+
+/* _native.minimal_simples without its memo: on B_7 summit sets a vertex
+   takes about 13 us here, against about 230 us there with the memo.
+   Each step grows s's inversion set or settles one side, so every rho is
+   found in at most n(n-1) + 2 steps, whatever the bytes. */
+static PyObject *
+minimal_simples(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, w;
+    long long p[2];
+    Py_ssize_t m[2];
+    const unsigned char *flats[2];
+    unsigned char *rhos, a[256], join[256] = {0}, quotient[256] = {0};
+    word_t *sets; /* two inversion sets of n rows each, then each atom's rho */
+    PyObject *out = NULL;
+
+    if (!arity("minimal_simples", nargs, 6) || !(n = strands(args[0])) || !delta_arg(args[1], &p[0]) ||
+        (m[0] = factor_count(args[2], n)) < 0 || !delta_arg(args[3], &p[1]) ||
+        (m[1] = factor_count(args[4], n)) < 0)
+        return NULL;
+    /* args[5] is _native's memo, which this twin ignores. */
+    flats[0] = (const unsigned char *)PyBytes_AS_STRING(args[2]);
+    flats[1] = (const unsigned char *)PyBytes_AS_STRING(args[4]);
+    w = (n + 63) / 64;
+    if (!(sets = PyMem_Malloc(2 * (size_t)n * w * sizeof *sets + (size_t)n * n)))
+        return PyErr_NoMemory();
+    rhos = (unsigned char *)(sets + 2 * n * w);
+    for (int i = 0; i < n - 1; i++) {
+        unsigned char *s = rhos + i * n;
+
+        for (int t = 0; t < n; t++)
+            s[t] = (unsigned char)t;
+        s[i] = (unsigned char)(i + 1);
+        s[i + 1] = (unsigned char)i;
+        for (int settled = 0, side = 0; settled < 2; side ^= 1) {
+            int grows = 0;
+
+            /* a = tau^p(s), pushed through the factors of this side. */
+            if (p[side] % 2)
+                flip(a, s, 1, n);
+            else
+                memcpy(a, s, n);
+            for (Py_ssize_t k = 0; k < m[side] && !is_fixed(a, n, 0); k++)
+                push(a, flats[side] + k * n, n, w, sets, sets + n * w, join, quotient);
+            inversions(sets, s, n, w);
+            inversions(sets + n * w, a, n, w);
+            for (int t = 0; t < n * w; t++) {
+                grows |= (sets[n * w + t] & ~sets[t]) != 0;
+                sets[t] |= sets[n * w + t];
+            }
+            if (grows) {
+                closure_simple(s, sets, n, w);
+                settled = 0;
+            } else {
+                settled++;
+            }
+        }
+    }
+    /* rho(sigma_i) is minimal iff every atom prefix of it has the same
+       rho; each is listed once, at its first atom. */
+    if (!(out = PyList_New(0)))
+        goto done;
+    for (int i = 0; i < n - 1; i++) {
+        const unsigned char *rho = rhos + i * n;
+        int keep = 1;
+        PyObject *item;
+
+        for (int k = 0; k < i && keep; k++)
+            keep = memcmp(rhos + k * n, rho, n) != 0;
+        for (int j = 0; j < n - 1 && keep; j++)
+            keep = rho[j] <= rho[j + 1] || memcmp(rhos + j * n, rho, n) == 0;
+        if (!keep)
+            continue;
+        if (!(item = PyBytes_FromStringAndSize((const char *)rho, n)) || PyList_Append(out, item) < 0) {
+            Py_XDECREF(item);
+            Py_CLEAR(out);
+            goto done;
+        }
+        Py_DECREF(item);
+    }
+
+done:
+    PyMem_Free(sets);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"normalize", (PyCFunction)(void (*)(void))normalize, METH_FASTCALL,
      "normalize(n, delta, flat) -> (delta, flat): the normal form of Delta^delta * flat."},
@@ -288,6 +438,10 @@ static PyMethodDef methods[] = {
     {"conjugate_batch", (PyCFunction)(void (*)(void))conjugate_batch, METH_FASTCALL,
      "conjugate_batch(n, p, flat, simples) -> list: the normal form of s^-1 * x * s for\n"
      "each simple element s, in order."},
+    {"minimal_simples", (PyCFunction)(void (*)(void))minimal_simples, METH_FASTCALL,
+     "minimal_simples(n, p, flat, ip, iflat, memo) -> list: the minimal simple elements of\n"
+     "the summit element Delta^p * flat, whose inverse is Delta^ip * iflat, in atom order;\n"
+     "memo is ignored."},
     {NULL, NULL, 0, NULL},
 };
 

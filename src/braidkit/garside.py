@@ -74,6 +74,8 @@ __all__ = [
 ]
 
 DEFAULT_SSS_LIMIT = 100_000
+# The kernel's largest strand count (MAX_N in _speedups.c).
+_MAX_STRANDS = 255
 
 _NfKey = tuple[int, bytes]
 _KeyPair = tuple[_NfKey, _NfKey]
@@ -350,12 +352,20 @@ def _letters_to_factors(n: int, letters: tuple[int, ...]) -> tuple[int, bytes]:
     return _assemble(n, [items[letter] for letter in letters])
 
 
+def _check_strands(n: int) -> None:
+    """Refuse strand counts beyond the kernel's limit, on both backends."""
+    if n > _MAX_STRANDS:
+        raise ValueError(f"B_{n} is beyond the kernel's limit of {_MAX_STRANDS} strands")
+
+
 def _nf_of_word(w: BraidWord) -> _NfKey:
+    _check_strands(w.strands)
     p, flat = _letters_to_factors(w.strands, w.letters)
     return _kernel.normalize(w.strands, p, flat)
 
 
 def _key_of_nf(nf: NormalForm) -> _NfKey:
+    _check_strands(nf.strands)
     return nf.delta_power, b"".join(_flat_of_perm(f.perm) for f in nf.factors)
 
 
@@ -552,151 +562,15 @@ def _drive_to_summit(n: int, key: _NfKey) -> _KeyPair:
     return key, track
 
 
-# -- the prefix order and minimal simple elements ---------------------------------
-#
-# A simple element s is a prefix of t (s <= t: s^-1 t is positive) iff the
-# position-inversion set of s, the pairs i < j with s[i] > s[j], lies in
-# that of t. A product s * u of simple elements whose lengths add is the
-# permutation k -> u[s[k]].
-
-
-def _inversions(perm: bytes) -> int:
-    """The position-inversion set of a simple element as a bitmask: bit
-    i*n + j is set iff i < j and perm[i] > perm[j]."""
-    n = len(perm)
-    below = [0] * n  # below[v]: the positions of the values under v
-    mask = 0
-    for v, pos in enumerate(_inv_flat(perm)):
-        below[v] = mask
-        mask |= 1 << pos
-    out = 0
-    for i, v in enumerate(perm):
-        out |= (below[v] & -(2 << i)) << (i * n)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _columns(n: int) -> tuple[int, ...]:
-    """Mask k selects the inversion bits (i, k), i < k."""
-    return tuple(sum(1 << (i * n + k) for i in range(k)) for k in range(n))
-
-
-def _closure_simple(n: int, inversions: int) -> bytes:
-    """The simple element whose inversion set is the transitive closure of
-    ``inversions``. For the union of two inversion sets that is their
-    join, the least common multiple in the prefix order."""
-    full = (1 << n) - 1
-    for i in range(n - 3, -1, -1):
-        # The rows below i are closed, so adding theirs closes row i.
-        row = pending = inversions >> (i * n) & full
-        while pending:
-            low = pending & -pending
-            row |= inversions >> ((low.bit_length() - 1) * n) & full
-            pending ^= low
-        inversions |= row << (i * n)
-    # The value at k counts the positions holding smaller values: the
-    # inversions (k, j) to its right and the non-inversions (i, k) to its left.
-    columns = _columns(n)
-    return bytes(
-        (inversions >> (k * n) & full).bit_count() + k - (inversions & columns[k]).bit_count()
-        for k in range(n)
-    )
-
-
-class _PushMemo:
-    """The pushes of one closure walk, memoized.
-
-    A walk meets the same few simple elements at vertex after vertex. The
-    memo keeps each once, with its inversion set, and keys each push by
-    the concatenation of its two elements, so it holds no copies. It
-    lives as long as the walk: a process-wide cache would keep them all.
-    """
-
-    def __init__(self) -> None:
-        self._pushes: dict[bytes, bytes] = {}
-        self._kept: dict[bytes, bytes] = {}
-        self._inversions: dict[bytes, int] = {}
-
-    def inversions(self, perm: bytes) -> int:
-        found = self._inversions.get(perm)
-        if found is None:
-            found = self._inversions[perm] = _inversions(perm)
-        return found
-
-    def push(self, a: bytes, f: bytes) -> bytes:
-        """f^-1 (a v f): the simple element y0 such that a <= f * y iff
-        y0 <= y, for every positive y."""
-        pair = a + f
-        pushed = self._pushes.get(pair)
-        if pushed is None:
-            joined = _closure_simple(len(f), self.inversions(a) | self.inversions(f))
-            quotient = bytearray(len(f))
-            for k, v in enumerate(f):
-                quotient[v] = joined[k]
-            pushed = bytes(quotient)
-            pushed = self._pushes[pair] = self._kept.setdefault(pushed, pushed)
-        return pushed
-
-
-def _minimal_simples(n: int, key: _NfKey, memo: _PushMemo) -> list[bytes]:
-    """The minimal simple elements of a summit element x, in atom order.
-
-    For each atom sigma_i, rho(sigma_i) is the least simple s >= sigma_i
-    with s^-1 x s in the super summit set. The minimal simple elements are
-    the prefix-minimal rho's, at most n-1 of them, and the summit set is
-    connected under them (Franco & Gonzalez-Meneses, "Conjugacy problem
-    for braid groups and Garside groups", J. Algebra 266, 2003).
-
-    For x = Delta^p x_1..x_r, inf(s^-1 x s) >= p iff tau^p(s) <= x_1..x_r s,
-    that is iff a, tau^p(s) pushed through x_1, ..., x_r, is a prefix of
-    s. Otherwise the join s v a is a larger lower bound for every
-    admissible s. The same test on x^-1 keeps sup, and rho(sigma_i) is
-    the first s, raised from sigma_i, that passes both tests.
-    """
-    identity = _id_flat(n)
-    sides = [
-        (p % 2, [flat[off : off + n] for off in range(0, len(flat), n)])
-        for p, flat in (key, _inv(n, key))
-    ]
-    rhos = []
-    for i in range(n - 1):
-        atom = bytearray(identity)
-        atom[i], atom[i + 1] = i + 1, i
-        s = bytes(atom)
-        settled = side = 0
-        while settled < 2:
-            odd, factors = sides[side]
-            side ^= 1
-            a = _tau_flat(n, s) if odd else s
-            for f in factors:
-                if a == identity:  # the identity pushes to itself
-                    break
-                a = memo.push(a, f)
-            missing = memo.inversions(a) & ~memo.inversions(s)
-            if missing:
-                s = _closure_simple(n, memo.inversions(s) | missing)
-                settled = 0
-            else:
-                settled += 1
-        rhos.append(s)
-    # rho(sigma_j) <= rho(sigma_i) whenever sigma_j <= rho(sigma_i), so
-    # rho(sigma_i) is minimal iff every atom prefix of it has the same rho.
-    minimal: list[bytes] = []
-    for rho in rhos:
-        if rho not in minimal and all(rhos[j] == rho for j in range(n - 1) if rho[j] > rho[j + 1]):
-            minimal.append(rho)
-    return minimal
-
-
 def _flip_edges(n: int, edges: list[tuple[bytes, _NfKey]]) -> list[tuple[bytes, _NfKey]]:
     """The edges (s, s^-1 x s) of a vertex x, turned into those of tau(x).
 
     tau preserves the prefix order, so rho_tau(x)(sigma_i) is
     tau(rho_x(sigma_(n-i))) and the minimal simple elements of tau(x) are
     the flips of x's; tau(s)^-1 tau(x) tau(s) = tau(s^-1 x s). Every atom
-    prefix of a minimal simple element has it as its rho, so
-    _minimal_simples lists each at its least atom prefix: sorting by that
-    gives its order.
+    prefix of a minimal simple element has it as its rho, so the
+    kernel's minimal_simples lists each at its least atom prefix: sorting
+    by that gives its order.
     """
     flipped = [(_tau_flat(n, s), _flip_key(n, key)) for s, key in edges]
     return sorted(flipped, key=lambda edge: min(_descents(edge[0])))
@@ -722,16 +596,17 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
     Conjugation by Delta, the flip tau, is a Garside automorphism: it maps
     the summit set onto itself and carries the edges of x onto those of
     tau(x) (_flip_edges). So only one vertex of each pair {x, tau(x)} is
-    expanded, by _minimal_simples and one conjugate_batch call; its edges
-    are kept until its twin is dequeued, which reads its own off by the
-    flip, with no push and no kernel call, and drops them. Every vertex
+    expanded, by one minimal_simples and one conjugate_batch kernel call;
+    its edges are kept until its twin is dequeued, which reads its own off
+    by the flip, with no kernel call, and drops them. ``memo`` holds the
+    pure-Python kernel's pushes for the walk. Every vertex
     still gets exactly the edges, in the same order, that expanding it
     would give, so the walk, its tree, its cap and its completeness (the
     summit set is connected under minimal simple elements) are unchanged.
     """
     inf0 = seed[0]
     len0 = len(seed[1])
-    memo = _PushMemo()
+    memo: dict = {}
     expanded: dict[_NfKey, list[tuple[bytes, _NfKey]]] = {}
     yield seed, None, None
     seen = {seed}
@@ -742,7 +617,7 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
         if twin in expanded:
             edges = _flip_edges(n, expanded.pop(twin))
         else:
-            simples = _minimal_simples(n, key, memo)
+            simples = _kernel.minimal_simples(n, *key, *_inv(n, key), memo)
             edges = list(zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)))
             if twin != key:
                 expanded[key] = edges

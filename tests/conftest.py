@@ -131,16 +131,16 @@ def speedups(tmp_path_factory):
 
     Nothing is written under src/: a compiled module left beside the
     package would make every later import of braidkit in that checkout
-    pick the C backend. Skips only when there is no C compiler.
+    pick the C backend. A compiler warning fails the build. Skips only
+    when there is no C compiler.
     """
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler: cc is not on PATH")
     out = tmp_path_factory.mktemp("speedups") / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
     include = sysconfig.get_paths()["include"]
-    subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", "-I", include, str(SPEEDUPS_C), "-o", str(out)], check=True
-    )
+    flags = ["-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror"]
+    subprocess.run([cc, *flags, "-I", include, str(SPEEDUPS_C), "-o", str(out)], check=True)
     spec = importlib.util.spec_from_file_location("braidkit._speedups", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from braidkit import concat, equal_words, invert_word, parse_word
+from braidkit import _kernel, _native, concat, equal_words, invert_word, parse_word
 from braidkit.cli import main
 
 
@@ -191,3 +191,44 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "max_sss" in err
+
+
+class TestStrandLimit:
+    """Both backends refuse braids on more than the kernel's 255 strands
+    with one message, before any kernel call, and take 255 itself."""
+
+    @pytest.fixture(params=["python", "c"])
+    def kernel_calls(self, request, monkeypatch):
+        """The Garside layer on one backend, each kernel call recorded."""
+        backend = _native if request.param == "python" else request.getfixturevalue("speedups")
+        calls = []
+        for name in ("normalize", "multiply", "conjugate_batch", "minimal_simples"):
+
+            def recorded(*args, _fn=getattr(backend, name)):
+                calls.append(args[0])
+                return _fn(*args)
+
+            monkeypatch.setattr(_kernel, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nf", "256: 1 2 255"),
+            ("nf", "300: 1 2"),
+            ("eq", "256: 1", "256: 1"),
+            ("conj", "300: 1 2", "300: 2 1"),
+            ("classify", "256: 1 -2"),
+        ],
+    )
+    def test_beyond_the_limit(self, capsys, kernel_calls, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "limit of 255 strands" in err
+        assert kernel_calls == []
+
+    def test_at_the_limit(self, capsys, kernel_calls):
+        code, out, _ = run(capsys, "nf", "255: 1 2 254")
+        assert code == 0
+        assert out.startswith("D^0 | (3 1 2 4 ")
+        assert set(kernel_calls) == {255}

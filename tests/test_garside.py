@@ -38,7 +38,7 @@ from braidkit import (
     random_word,
     super_summit_set,
 )
-from braidkit import _kernel, garside
+from braidkit import _kernel, _native, garside
 from braidkit._native import _tau_flat
 from braidkit.garside import (
     DEFAULT_SSS_LIMIT,
@@ -50,10 +50,8 @@ from braidkit.garside import (
     _flip_key,
     _inv,
     _letters_to_factors,
-    _minimal_simples,
     _mul,
     _permutation_of_key,
-    _PushMemo,
     _summit_closure,
     _word_of_key,
 )
@@ -395,11 +393,16 @@ class TestSuperSummitSet:
         assert len(calls) == 232
 
 
+def _minimal_simples(n, key, memo, kernel=_kernel):
+    """The minimal simple elements of the summit element ``key``."""
+    return kernel.minimal_simples(n, *key, *_inv(n, key), memo)
+
+
 def _expand_every_vertex(n, seed, max_size):
     """The summit closure as it was before twins were read off by the
     flip: every vertex is expanded by its minimal simple elements and one
     conjugate_batch call. The reference for the walk's edges and cap."""
-    memo = _PushMemo()
+    memo = {}
     yield seed, None, None
     seen = {seed}
     queue = deque([seed])
@@ -428,7 +431,7 @@ def _walk(closure, n, seed, cap):
 
 
 def _direct_edges(n, key):
-    simples = _minimal_simples(n, key, _PushMemo())
+    simples = _minimal_simples(n, key, {})
     return list(zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)))
 
 
@@ -610,6 +613,14 @@ class TestNormalFormValidation:
         with pytest.raises(ValueError):
             NormalForm(3, 0, (delta_simple(3),))
 
+    def test_beyond_the_kernel_limit(self):
+        """A normal form on more than 255 strands is refused where it
+        becomes a key, as a word is (tests/test_cli.py)."""
+        x = NormalForm(256, 1, ())
+        for read in (x.word, lambda: cycling(x, "front")):
+            with pytest.raises(ValueError, match="limit of 255 strands"):
+                read()
+
 
 def _word_key(w: BraidWord) -> tuple[int, bytes]:
     return _kernel.normalize(w.strands, *_letters_to_factors(w.strands, w.letters))
@@ -668,6 +679,13 @@ class TestDriveToSummit:
 
 class TestMinimalSimples:
     def test_match_brute_force(self):
+        self.check_brute_force(_native)
+
+    def test_match_brute_force_compiled(self, speedups):
+        self.check_brute_force(speedups)
+
+    @staticmethod
+    def check_brute_force(kernel):
         """On every vertex of seeded summit sets in B_3..B_5, the minimal
         simple elements are the prefix-minimal simple elements whose
         conjugate stays in the summit set, found over all n! - 1 of them.
@@ -693,7 +711,7 @@ class TestMinimalSimples:
                     expected = {
                         s for s in hits if not any(t != s and prefix(t, s) for t in hits)
                     }
-                    found = _minimal_simples(n, key, _PushMemo())
+                    found = _minimal_simples(n, key, {}, kernel)
                     assert len(found) == len(set(found)) <= n - 1
                     assert set(found) == expected
                     vertices += 1

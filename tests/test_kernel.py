@@ -22,7 +22,7 @@ import test_garside
 
 from braidkit import _kernel, _native, garside
 from braidkit.garside import _letters_to_factors
-from braidkit.words import random_word
+from braidkit.words import BraidWord, random_word
 
 
 def random_flat(rng: random.Random, n: int, factors: int) -> bytes:
@@ -236,6 +236,55 @@ class TestBackendParity:
                 assert _native.multiply(n, *x, *y) == speedups.multiply(n, *x, *y)
 
 
+class TestMinimalSimplesParity:
+    """The C twin of minimal_simples, which keeps no memo, against
+    _native's, which keeps one per walk as garside does."""
+
+    @staticmethod
+    def both(speedups, n, key, memo):
+        inv = garside._inv(n, key)
+        expected = _native.minimal_simples(n, *key, *inv, memo)
+        assert speedups.minimal_simples(n, *key, *inv, None) == expected
+        return expected
+
+    @pytest.mark.parametrize("n, length", [(3, 8), (4, 8), (5, 6), (6, 5), (7, 4)])
+    def test_every_vertex_of_summit_sets(self, speedups, n, length):
+        """Summit sets of eight seeded words each, those of up to 1,000
+        elements."""
+        vertices = 0
+        for seed in range(8):
+            try:
+                keys = garside.super_summit_set(random_word(n, length, 1100 + seed), 1000).keys
+            except garside.ResourceLimitError:
+                continue
+            memo = {}
+            for key in keys:
+                self.both(speedups, n, key, memo)
+            vertices += len(keys)
+        assert vertices >= 30
+
+    def test_random_summit_elements(self, speedups):
+        rng = random.Random(47)
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            word = random_word(n, rng.randint(0, 14), rng.randrange(2**32)) if n > 1 else None
+            key = garside._nf_of_word(word) if word else (rng.randint(-3, 3), b"")
+            summit, _ = garside._drive_to_summit(n, key)
+            found = self.both(speedups, n, summit, {})
+            assert len(found) == len(set(found)) <= max(n - 1, 0)
+
+    @pytest.mark.parametrize(
+        "n, letters",
+        [(64, (62, 63, -62, 1)), (65, (62, 63, 64, -64, 63, 1, -60)), (129, (63, 64, 65, -128))],
+        ids=["64", "65", "129"],
+    )
+    def test_rows_of_several_words(self, speedups, n, letters):
+        """Inversion rows of one, two and three 64-bit words, with
+        crossings over the boundaries between them, on elements that need
+        not be summit elements: the twins run one algorithm on any key."""
+        self.both(speedups, n, garside._nf_of_word(BraidWord(n, letters)), {})
+
+
 class TestCompiledArguments:
     """The C kernel checks what it is given, so no input makes it read or
     write outside its buffers; _native is called only with the Garside
@@ -249,12 +298,17 @@ class TestCompiledArguments:
             speedups.multiply(n, 0, b"", 0, b"")
         with pytest.raises(ValueError, match="strand count"):
             speedups.conjugate_batch(n, 0, b"", [])
+        with pytest.raises(ValueError, match="strand count"):
+            speedups.minimal_simples(n, 0, b"", 0, b"", None)
 
     def test_largest_strand_count(self, speedups):
-        """n = 255 is the largest a byte permutation can have."""
+        """n = 255 is the kernel's limit, MAX_N in _speedups.c, which the
+        Garside layer enforces on both backends (tests/test_cli.py)."""
         delta, ident = bytes(range(254, -1, -1)), bytes(range(255))
         assert speedups.normalize(255, 0, delta + ident) == (1, b"")
         assert speedups.conjugate_batch(255, 2, b"", [delta]) == [(2, b"")]
+        atoms = [bytes(ident[:i] + bytes((i + 1, i)) + ident[i + 2 :]) for i in range(254)]
+        assert speedups.minimal_simples(255, 2, b"", -2, b"", None) == atoms
 
     def test_partial_factors(self, speedups):
         whole, partial = bytes((1, 0, 2)), bytes((1, 0))
@@ -266,6 +320,10 @@ class TestCompiledArguments:
             speedups.multiply(3, 0, whole, 0, partial)
         with pytest.raises(ValueError, match="multiple of n"):
             speedups.conjugate_batch(3, 0, partial, [whole])
+        with pytest.raises(ValueError, match="multiple of n"):
+            speedups.minimal_simples(3, 0, whole + partial, 0, whole, None)
+        with pytest.raises(ValueError, match="multiple of n"):
+            speedups.minimal_simples(3, 0, whole, 0, partial, None)
 
     @pytest.mark.parametrize("s", [b"", bytes((1,)), bytes((1, 0)), bytes((1, 0, 2, 3))])
     def test_simple_element_of_the_wrong_length(self, speedups, s):
@@ -285,6 +343,12 @@ class TestCompiledArguments:
             speedups.conjugate_batch(3, 0, b"", [bytes((0, 2, 1)), bad])
         with pytest.raises(TypeError):
             speedups.conjugate_batch(3, "0", b"", [])
+        with pytest.raises(TypeError):
+            speedups.minimal_simples(3, 0, bad, 0, b"", None)
+        with pytest.raises(TypeError):
+            speedups.minimal_simples(3, 0, b"", 0, bad, None)
+        with pytest.raises(TypeError):
+            speedups.minimal_simples(3, 0, b"", "0", b"", None)
 
     def test_wrong_arguments(self, speedups):
         """Arguments are read by position, so a call with too few must not
@@ -296,6 +360,10 @@ class TestCompiledArguments:
             speedups.multiply(3, 0, b"", 0)
         with pytest.raises(TypeError, match="takes 4 arguments"):
             speedups.conjugate_batch(3, 0, b"", [], [])
+        with pytest.raises(TypeError, match="takes 6 arguments"):
+            speedups.minimal_simples(3, 0, b"", 0, b"")
+        with pytest.raises(TypeError, match="takes 6 arguments"):
+            speedups.minimal_simples(3, 0, b"", 0, b"", None, None)
         with pytest.raises(TypeError):
             speedups.normalize(n=3, delta=0, flat=b"")
         with pytest.raises(TypeError):
@@ -340,20 +408,61 @@ class TestCompiledArguments:
         assert traced[1] - traced[0] < 10_000
         assert sys.getrefcount(simples) == refs
 
+    def test_minimal_simples_hold_nothing(self, speedups):
+        """Neither failed nor finished calls of minimal_simples hold on to
+        their arguments or their buffer: refcounts are unchanged, and
+        memory stays flat over many calls."""
+        key = _native.normalize(5, -1, bytes((1, 0, 3, 4, 2, 4, 3, 2, 1, 0)))
+        inv = garside._inv(5, key)
+        memo = {}
+        refs = [sys.getrefcount(arg) for arg in (key[1], inv[1], memo)]
+
+        def calls() -> int:
+            raised = 0
+            for args in (
+                (5, *key, *inv[:1], None, memo),
+                (5, *key, inv[0], inv[1][:-1], memo),
+                (300, *key, *inv, memo),
+                (5, *key, *inv),
+            ):
+                try:
+                    speedups.minimal_simples(*args)
+                except (TypeError, ValueError):
+                    raised += 1
+            assert speedups.minimal_simples(5, *key, *inv, memo)
+            return raised
+
+        assert calls() == 4
+        tracemalloc.start()
+        try:
+            traced = []
+            for _ in range(2):
+                for _ in range(3000):
+                    calls()
+                traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert traced[1] - traced[0] < 10_000
+        assert [sys.getrefcount(arg) for arg in (key[1], inv[1], memo)] == refs
+        assert memo == {}
+
     def test_deltas_beyond_the_kernel(self, speedups):
         with pytest.raises(OverflowError):
             speedups.normalize(3, 2**62, b"")
         with pytest.raises(OverflowError):
             speedups.multiply(3, 0, b"", -(2**70), b"")
+        with pytest.raises(OverflowError):
+            speedups.minimal_simples(3, 0, b"", 2**62, b"", None)
 
 
 class TestCompiledWorkloads:
     def test_goldens(self, speedups, monkeypatch):
         """The SSS and classify goldens, run with every kernel call of the
-        Garside layer on the compiled kernel, give their pinned hashes. The
+        Garside layer on the compiled kernel, minimal_simples included,
+        give their pinned element and conjugator hashes. The
         cache of simple inverses starts empty, so it holds the C kernel's
         results too."""
-        for name in ("normalize", "multiply", "conjugate_batch"):
+        for name in ("normalize", "multiply", "conjugate_batch", "minimal_simples"):
             monkeypatch.setattr(_kernel, name, getattr(speedups, name))
         fresh = functools.lru_cache(maxsize=None)(garside._simple_inv_nf.__wrapped__)
         monkeypatch.setattr(garside, "_simple_inv_nf", fresh)
