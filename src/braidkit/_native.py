@@ -18,7 +18,10 @@ Data layout: a canonical factor of B_n is a permutation of
 ``{0, ..., n-1}`` stored as ``n`` bytes, image of ``k`` at offset ``k``.
 A factor sequence is the concatenation of its factors' buffers, so
 ``len(flat) == factors * n``. The pair ``(delta, flat)`` denotes the
-braid ``Delta^delta * A_1 * ... * A_l``.
+braid ``Delta^delta * A_1 * ... * A_l``. A normal form ends with a trim
+of whole rows: ``_left_weight`` moves each leading Delta row into the
+Delta power and drops each trailing identity row, testing a row by one
+``startswith`` at its offset.
 
 Descent conventions (0-based index ``i`` names the crossing of positions
 ``i`` and ``i+1``): ``i`` is in the starting set of a factor ``A`` iff
@@ -41,20 +44,6 @@ from typing import Sequence
 BACKEND = "python"
 
 
-def _is_w0(buf: bytearray, off: int, n: int) -> bool:
-    for t in range(n):
-        if buf[off + t] != n - 1 - t:
-            return False
-    return True
-
-
-def _is_id(buf: bytearray, off: int, n: int) -> bool:
-    for t in range(n):
-        if buf[off + t] != t:
-            return False
-    return True
-
-
 def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, bytes]:
     """Normal form of Delta^delta * flat whose first ``start`` factors are
     already left-weighted.
@@ -67,19 +56,14 @@ def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, byte
     Morton, "Algorithms for positive braids", Quart. J. Math. 45, 1994).
     A move at i changes only the tests at i-1, i and i+1, so the scan for
     the smallest eligible index resumes at i-1: the same moves as a
-    rescan from 0. At the end every leading factor equal to Delta
-    migrates into the Delta power and every trailing identity factor is
-    dropped.
+    rescan from 0. Then the rows are trimmed at both ends.
     """
     if n == 1:
         # B_1 is trivial and Delta is the identity, so everything collapses.
         return 0, b""
-    m = len(flat) // n
-    if m == 0:
-        return delta, b""
     buf = bytearray(flat)
     inv = bytearray(n)
-    for b in range(max(start, 1) * n, m * n, n):
+    for b in range(max(start, 1) * n, len(buf), n):
         while b:
             a = b - n
             for t in range(n):
@@ -104,13 +88,14 @@ def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, byte
             if not moves:
                 break
             b = a
-    lo = 0
-    while lo < m and _is_w0(buf, lo * n, n):
-        lo += 1
-    hi = m
-    while hi > lo and _is_id(buf, (hi - 1) * n, n):
-        hi -= 1
-    return delta + lo, bytes(buf[lo * n : hi * n])
+    w0 = _flip_table(n)[:n]
+    identity = w0[::-1]
+    lo, hi = 0, len(buf)
+    while buf.startswith(w0, lo):
+        lo += n
+    while hi > lo and buf.startswith(identity, hi - n):
+        hi -= n
+    return delta + lo // n, bytes(buf[lo:hi])
 
 
 def normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
@@ -134,7 +119,7 @@ def _tau_flat(n: int, flat: bytes) -> bytes:
     out = flat[::-1].translate(_flip_table(n))
     if len(out) <= n:
         return out
-    return b"".join(out[off - n : off] for off in range(len(out), 0, -n))
+    return b"".join([out[off - n : off] for off in range(len(out), 0, -n)])
 
 
 def multiply(n: int, p1: int, flat1: bytes, p2: int, flat2: bytes) -> tuple[int, bytes]:
@@ -238,18 +223,15 @@ def _known(memo: dict, perm: bytes) -> tuple[bytes, int]:
     return found
 
 
-def _push(memo: dict, a: bytes, f: bytes) -> bytes:
+def _push(memo: dict, pair: bytes, a: bytes, f: bytes) -> bytes:
     """f^-1 (a v f): the simple element y0 such that a <= f * y iff y0 <= y,
-    for every positive y. Keyed in the memo by the concatenation a + f."""
-    pair = a + f
-    pushed = memo.get(pair)
-    if pushed is None:
-        joined = _closure_simple(len(f), _known(memo, a)[1] | _known(memo, f)[1])
-        quotient = bytearray(len(f))
-        for k, v in enumerate(f):
-            quotient[v] = joined[k]
-        pushed = memo[pair] = _known(memo, bytes(quotient))[0]
-    return pushed
+    for every positive y, computed and kept in the memo under ``pair``,
+    the concatenation a + f. Callers take memo hits themselves."""
+    joined = _closure_simple(len(f), _known(memo, a)[1] | _known(memo, f)[1])
+    quotient = bytearray(len(f))
+    for k, v in enumerate(f):
+        quotient[v] = joined[k]
+    return memo.setdefault(pair, _known(memo, bytes(quotient))[0])
 
 
 def minimal_simples(
@@ -293,7 +275,8 @@ def minimal_simples(
             for f in factors:
                 if a == identity:  # the identity pushes to itself
                     break
-                a = _push(memo, a, f)
+                pair = a + f
+                a = memo.get(pair) or _push(memo, pair, a, f)
             below = _known(memo, s)[1]
             missing = _known(memo, a)[1] & ~below
             if missing:

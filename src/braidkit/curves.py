@@ -295,12 +295,17 @@ def _round_curves(n: int) -> list[tuple[CurveClass, tuple[int, int]]]:
     ]
 
 
-def _puncture_orbit_period(perm, punctures: set[int], n: int) -> int | None:
-    """Smallest k <= n with perm^k fixing the puncture set, else None."""
-    current = punctures
-    for k in range(1, n + 1):
-        current = {perm(p) for p in current}
-        if current == punctures:
+def _puncture_orbit_period(perm: bytes, mask: bytes) -> int | None:
+    """Smallest k <= n with perm^k fixing a puncture set, else None.
+
+    ``perm`` holds 0-based images and ``mask`` has a 1 at each 0-based
+    puncture of the set. Translating perm by a mask gives the mask of the
+    set's preimage, and perm^-k fixes a set exactly when perm^k does.
+    """
+    current = mask
+    for k in range(1, len(perm) + 1):
+        current = perm.translate(current.ljust(256, b"\0"))
+        if current == mask:
             return k
     return None
 
@@ -366,21 +371,25 @@ def classify(
     triples are tested in that lexicographic order (curves by (i, j),
     elements in canonical summit order, powers ascending) and the first
     hit is the witness, re-verified through the raw free-group action
-    before returning. Two prunes keep the scan exact but cheap: a power k
-    can only preserve a curve whose puncture set the element's
-    permutation fixes at power k, and preservation itself is decided by
-    the factor walk of :func:`_preserves_round_curve`, which never builds
-    large free-group words.
+    before returning. A power k is tried only when the element's
+    permutation, read off its key, fixes the curve's punctures at power
+    k, and preservation is decided by the factor walk of
+    :func:`_preserves_round_curve`, which builds no large free words.
 
-    The scan reads the summit set's keys. super_summit_set has verified
-    each of them conjugate to w, by its closure edge, before the scan
-    starts. Each element's permutation is read off its key. Its powers
-    are keys, computed once, when the scan first needs them: as products,
-    or, when the powers of its flip tau(x) = Delta^-1 x Delta are known
-    already, as their flips, since tau(x)^k = tau(x^k). Words and a
-    conjugator are built only for the witness returned: its conjugator is
-    built along the closure tree and re-verified end to end
-    (SuperSummitSet.conjugator_key).
+    The scan follows Delta-orbits. The flip tau(x) = Delta^-1 x Delta maps
+    the round curve i..j to (n+1-j)..(n+1-i), tau(x)^k = tau(x^k), and the
+    summit set is closed under tau, so x^k preserves C exactly when
+    tau(x)^k preserves tau(C). A curve whose flip came earlier is skipped,
+    as the flip had no hit; on a curve equal to its flip, x is skipped
+    when tau(x) comes earlier, as a hit at x^k is one at tau(x)^k, found
+    first. Only triples without a hit are skipped, so the first hit, and
+    with it the witness, is that of the full scan.
+
+    Each element's powers are keys, computed once when first needed: as
+    products, or as the flips of its twin's. super_summit_set verified
+    every element conjugate to w by its closure edge; only the witness's
+    conjugator is built, along the closure tree, and re-verified end to
+    end (SuperSummitSet.conjugator_key).
 
     Raises ValueError if ``max_sss`` < 1, ResourceLimitError if the summit
     set outgrows it. ``max_letters`` only guards the witness re-check.
@@ -393,16 +402,22 @@ def classify(
         return ClassificationResult("periodic")
     sss = super_summit_set(w, max_size=max_sss)
     perms = [_permutation_of_key(n, key) for key in sss.keys]
+    twins: dict[tuple[int, bytes], tuple[int, bytes]] = {}
     powers: dict[tuple[int, bytes], list[tuple[int, bytes]]] = {}
     for curve, (i, j) in _round_curves(n):
-        punctures = set(range(i, j + 1))
+        if i + j > n + 1:
+            continue
+        mask = bytes(i <= v <= j for v in range(1, n + 1))
         for key, perm in zip(sss.keys, perms):
-            period = _puncture_orbit_period(perm, punctures, n)
+            period = _puncture_orbit_period(perm, mask)
             if period is None:
                 continue
+            twin = twins[key] = twins.get(key) or _flip_key(n, key)
+            if i + j == n + 1 and twin < key:
+                continue
             if key not in powers:
-                twin = powers.get(_flip_key(n, key))
-                powers[key] = [_flip_key(n, x) for x in twin] if twin else _powers(n, key, n)
+                flipped = powers.get(twin)
+                powers[key] = [_flip_key(n, x) for x in flipped] if flipped else _powers(n, key, n)
             for k in range(period, n + 1, period):
                 if _preserves_round_curve(n, powers[key][k - 1], i, j):
                     witness_word = BraidWord(n, _word_of_key(n, key) * k)

@@ -144,11 +144,8 @@ def _delta_letters(n: int) -> tuple[int, ...]:
 
 
 def _flat_of_perm(perm: Permutation) -> bytes:
+    _check_strands(perm.size)
     return bytes(v - 1 for v in perm.images)
-
-
-def _perm_of_flat(n: int, flat: bytes) -> Permutation:
-    return Permutation(n, tuple(v + 1 for v in flat))
 
 
 # -- public types --------------------------------------------------------------
@@ -372,7 +369,8 @@ def _key_of_nf(nf: NormalForm) -> _NfKey:
 def _nf_public(n: int, key: _NfKey) -> NormalForm:
     p, flat = key
     factors = tuple(
-        SimpleElement(_perm_of_flat(n, flat[off : off + n])) for off in range(0, len(flat), n)
+        SimpleElement(Permutation(n, tuple(v + 1 for v in flat[off : off + n])))
+        for off in range(0, len(flat), n)
     )
     return NormalForm(n, p, factors)
 
@@ -390,14 +388,14 @@ def _word_of_key(n: int, key: _NfKey) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _permutation_of_key(n: int, key: _NfKey) -> Permutation:
-    """The permutation of Delta^p A_1..A_l: the flip i -> n+1-i when p is
-    odd, then each factor's permutation in turn."""
+def _permutation_of_key(n: int, key: _NfKey) -> bytes:
+    """The permutation of Delta^p A_1..A_l as 0-based images: the flip
+    v -> n-1-v when p is odd, then one translate by each factor in turn."""
     p, flat = key
     images = _w0_flat(n) if p % 2 else _id_flat(n)
     for off in range(0, len(flat), n):
-        images = bytes(flat[off + v] for v in images)
-    return _perm_of_flat(n, images)
+        images = images.translate(flat[off : off + n].ljust(256, b"\0"))
+    return images
 
 
 # -- normal-form arithmetic on keys ---------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from conftest import braid_word_pairs, braid_words, free_words
 from hypothesis import given, settings
@@ -11,22 +13,35 @@ from braidkit import (
     BraidWord,
     CurveClass,
     FreeWord,
+    Permutation,
     ResourceLimitError,
     artin_action,
     classify,
     concat,
     curve_class_round,
+    embed_general,
     embed_standard,
     equal_words,
     format_word,
     image_curve_class,
     invert_word,
     is_periodic,
+    permutation_of_word,
     preserves_curve_class,
     random_word,
     round_span,
+    super_summit_set,
 )
-from braidkit.curves import _canonical_cycle, _cyclic_reduce, _least_rotation
+from braidkit import curves
+from braidkit.curves import (
+    _canonical_cycle,
+    _cyclic_reduce,
+    _least_rotation,
+    _preserves_round_curve,
+    _puncture_orbit_period,
+    _round_curves,
+)
+from braidkit.garside import _flip_key, _permutation_of_key, _powers, _word_of_key
 
 
 class TestFreeWord:
@@ -264,3 +279,147 @@ class TestClassify:
             g = random_word(3, 5, seed + 777)
             conjugated = concat(g, w, invert_word(g))
             assert classify(w).kind == classify(conjugated).kind
+
+
+def set_period(perm, punctures: set[int], n: int) -> int | None:
+    """The orbit period of a puncture set, one Permutation image at a time."""
+    current = punctures
+    for k in range(1, n + 1):
+        current = {perm(p) for p in current}
+        if current == punctures:
+            return k
+    return None
+
+
+def full_scan(w: BraidWord, spans=None):
+    """classify's reducibility scan without its Delta-orbit skips, as a
+    reference: every round curve (or those of ``spans``), every summit
+    element and every power whose Permutation-set period allows it, each
+    element's powers as plain products. Returns (kind, span, power,
+    conjugator letters)."""
+    n = w.strands
+    if is_periodic(w):
+        return "periodic", None, None, None
+    sss = super_summit_set(w)
+    for curve, (i, j) in _round_curves(n):
+        if spans is not None and (i, j) not in spans:
+            continue
+        for key in sss.keys:
+            perm = permutation_of_word(BraidWord(n, _word_of_key(n, key)))
+            period = set_period(perm, set(range(i, j + 1)), n)
+            if period is None:
+                continue
+            powers = _powers(n, key, n)
+            for k in range(period, n + 1, period):
+                if _preserves_round_curve(n, powers[k - 1], i, j):
+                    return "reducible", (i, j), k, _word_of_key(n, sss.conjugator_key(key))
+    return "pseudo_anosov", None, None, None
+
+
+def scanned(w: BraidWord):
+    """What classify returns, in the form of full_scan."""
+    r = classify(w)
+    if r.kind != "reducible":
+        return r.kind, None, None, None
+    return r.kind, round_span(r.curve), r.power, r.conjugator.letters
+
+
+def penner(rng: random.Random) -> BraidWord:
+    """A Penner-type pseudo-Anosov B_4 braid, conjugated by a short word:
+    positive squares of sigma_1 and sigma_3, negative squares of sigma_2,
+    every generator present."""
+    while True:
+        blocks = [rng.choice((1, 2, 3)) for _ in range(rng.randint(3, 4))]
+        if set(blocks) == {1, 2, 3}:
+            break
+    letters = [g if g % 2 else -g for g in blocks for _ in range(2)]
+    c = random_word(4, rng.randint(1, 3), rng.randrange(2**32))
+    return concat(c, BraidWord(4, tuple(letters)), invert_word(c))
+
+
+class TestPuncturePeriod:
+    def test_mask_period_matches_the_set_period(self):
+        """The byte-mask orbit period of classify equals the period of the
+        puncture set under Permutation images, on random permutations and
+        every puncture interval, the degenerate ones included."""
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            perm = Permutation(n, tuple(images))
+            flat = bytes(v - 1 for v in images)
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    mask = bytes(i <= v <= j for v in range(1, n + 1))
+                    expected = set_period(perm, set(range(i, j + 1)), n)
+                    assert _puncture_orbit_period(flat, mask) == expected
+
+
+class TestClassifyScanIsExact:
+    """classify skips each round curve whose flip came earlier and, on a
+    curve equal to its flip, each summit element whose flip came earlier;
+    its verdict, witness and conjugator must be those of the full scan."""
+
+    def test_penner_pseudo_anosov(self):
+        rng = random.Random(5)
+        for _ in range(6):
+            w = penner(rng)
+            assert scanned(w) == full_scan(w) == ("pseudo_anosov", None, None, None)
+
+    def test_embedded_reducibles(self):
+        found = 0
+        for seed in range(40):
+            a = random_word(3, 6, 300 + seed)
+            if is_periodic(a):
+                continue
+            g = random_word(5, 2, 700 + seed)
+            w = embed_general(a, 5, g)
+            expected = full_scan(w)
+            assert expected[0] == "reducible"
+            assert scanned(w) == expected
+            found += 1
+        assert found >= 20
+
+    @pytest.mark.parametrize(
+        "letters",
+        [(1, 3), (1, 3, 2, 2), (2, 2, 2), (2, 1, 3, 2, -1, -3), (1, 3, -2), (-1, -3, 2, 2, 2)],
+    )
+    def test_summit_sets_with_tau_fixed_elements(self, letters):
+        w = BraidWord(4, letters)
+        assert any(_flip_key(4, key) == key for key in super_summit_set(w).keys)
+        assert scanned(w) == full_scan(w)
+
+    @pytest.mark.parametrize(
+        "letters, skipped_before, witness_fixed",
+        [
+            ((2, 2, 2), 0, True),
+            ((1, 2, 3, 2, 1, 2, 2), 0, True),
+            ((1, 2, 1, 2, 2), 0, False),
+            ((-3, -3, -2, 1, -2), 1, False),
+            ((-2, -1, -1, -2, 1), 2, False),
+            ((-1, 1, 3, 2, 2, 3, -2), 4, False),
+        ],
+    )
+    def test_on_the_self_flip_curve(self, monkeypatch, letters, skipped_before, witness_fixed):
+        """Both scans restricted to (2, 3), the round curve of B_4 equal
+        to its flip. No B_4 word was found whose first hit lies there
+        (each had one on (1, 2) or (1, 3) first), so only the restriction
+        makes the element skip choose the witness."""
+        curves._round_spans(4)  # cached before the patch, which it must not see
+        real = curves._round_curves
+        monkeypatch.setattr(curves, "_round_curves", lambda n: [c for c in real(n) if c[1] == (2, 3)])
+        w = BraidWord(4, letters)
+        expected = full_scan(w, spans=[(2, 3)])
+        assert expected[:2] == ("reducible", (2, 3))
+        assert scanned(w) == expected
+        sss = super_summit_set(w)
+        witness = next(k for k in sss.keys if _word_of_key(4, sss.conjugator_key(k)) == expected[3])
+        mask = bytes((0, 1, 1, 0))
+        skipped = [
+            key
+            for key in sss.keys[: sss.keys.index(witness)]
+            if _flip_key(4, key) < key and _puncture_orbit_period(_permutation_of_key(4, key), mask)
+        ]
+        assert len(skipped) == skipped_before
+        assert (_flip_key(4, witness) == witness) == witness_fixed

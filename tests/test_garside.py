@@ -79,6 +79,18 @@ class TestDeltaSimple:
         assert d.perm.images == (1,)
         assert d.word() == BraidWord(1)
 
+    def test_beyond_the_kernel_limit(self):
+        """The views of a simple element refuse 300 strands with the
+        kernel's limit, as words and normal forms do, and work at 255."""
+        d = delta_simple(300)
+        views = (d.word, d.starting_set, d.finishing_set, lambda: divisor_sets(d))
+        for read in views:
+            with pytest.raises(ValueError, match="limit of 255 strands"):
+                read()
+        w = delta_simple(255).word()
+        assert len(w) == 255 * 254 // 2
+        assert divisor_sets(delta_simple(255)) == (frozenset(range(1, 255)),) * 2
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             delta_simple(0)
@@ -641,14 +653,17 @@ class TestKeyInverse:
 class TestPermutationOfKey:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_the_word(self, n):
-        """The permutation read off a key equals that of the key's word,
-        for Delta powers that are odd, negative and zero."""
+        """The 0-based images read off a key, one translate per factor,
+        are those of the permutation of the key's word, for Delta powers
+        that are odd, negative and zero."""
         for seed in range(20):
             _, flat = _word_key(random_word(n, 10, 900 + seed))
             for p in (-3, -2, -1, 0, 1, 4):
                 key = (p, flat)
                 expected = permutation_of_word(BraidWord(n, _word_of_key(n, key)))
-                assert _permutation_of_key(n, key) == expected
+                images = _permutation_of_key(n, key)
+                assert isinstance(images, bytes)
+                assert images == bytes(v - 1 for v in expected.images)
 
 
 class TestDriveToSummit:

@@ -129,6 +129,49 @@ class TestAgainstFixpoint:
             )
 
 
+class TestEndTrim:
+    """normalize moves leading Delta rows into the Delta power and drops
+    trailing identity rows, on both backends. random_flat almost never
+    draws such rows, so the inputs here are explicit."""
+
+    @staticmethod
+    def inputs(n: int) -> list[bytes]:
+        w0, ident = bytes(range(n - 1, -1, -1)), bytes(range(n))
+        # For n >= 3, sigma_1 and sigma_(n-1) are neither trivial nor Delta.
+        first = bytes((1, 0)) + ident[2:] if n >= 3 else w0
+        last = ident[:-2] + bytes((n - 1, n - 2)) if n >= 3 else ident
+        return [
+            w0,
+            w0 * 3,
+            ident,
+            ident * 3,
+            w0 * 2 + first,
+            first + ident * 2,
+            w0 * 2 + first + last + ident * 2,
+            w0 + ident + w0,
+            ident + w0 + ident,
+            first + w0 + last,
+            ident + first + w0,
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_both_backends(self, speedups, n):
+        for flat in self.inputs(n):
+            for delta in (-3, 0, 1, 2):
+                expected = fixpoint_normalize(n, delta, flat)
+                assert _native.normalize(n, delta, flat) == expected
+                assert speedups.normalize(n, delta, flat) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_whole_rows(self, speedups, n):
+        w0, ident = bytes(range(n - 1, -1, -1)), bytes(range(n))
+        for kernel in (_native, speedups):
+            for k in (1, 2, 5):
+                assert kernel.normalize(n, 1, w0 * k) == (1 + k, b"")
+                assert kernel.normalize(n, -1, ident * k) == (-1, b"")
+                assert kernel.normalize(n, 0, w0 * k + ident * k) == (k, b"")
+
+
 class TestTauFlat:
     @staticmethod
     def byte_loop(n: int, flat: bytes) -> bytes:
