@@ -3,8 +3,10 @@
 The kernel is four functions on normal-form keys: ``normalize``,
 ``multiply`` and ``conjugate_batch``, and ``minimal_simples``, the
 summit walk's step from a vertex to the simple elements that it is
-conjugated by. The hand-written C kernels in ``braidkit._speedups`` are
-preferred when the extension built; otherwise the pure-Python twins in
+conjugated by, which takes only the vertex and derives its inverse
+itself. Each function has one arity, the same in both twins. The
+hand-written C kernels in ``braidkit._speedups`` are preferred when the
+extension built; otherwise the pure-Python twins in
 ``braidkit._native``, which run the same algorithm, take over
 transparently. Set ``BRAIDKIT_PURE=1`` in the environment to force the
 pure backend. The backend-selection tests set it; the parity tests

@@ -6,13 +6,14 @@ at import time. The twins share the algorithm, not only the results:
 both append one factor at a time and slide it leftward, resuming each
 pair's scan at i-1 after a move at i (``_left_weight``); both take the
 summit walk's step, a vertex's minimal simple elements, by the same
-pushes and joins on inversion sets (``minimal_simples``); and both
-return bit-identical results (tests/test_kernel.py checks this on random
-inputs, on every vertex of summit sets and on whole workloads). Only
-this twin memoizes pushes, in a dict that the caller keeps for one
-walk. The compiled twin also checks its arguments; this module is
-called only with the Garside layer's own keys and checks nothing on the
-hot path.
+pushes and joins on inversion sets (``minimal_simples``), deriving the
+vertex's inverse from the complements of its factors (``_inverse``);
+and both return bit-identical results (tests/test_kernel.py checks this
+on random inputs, on every vertex of summit sets and on whole
+workloads). Only this twin memoizes pushes, in a dict that the caller
+keeps for one walk. The compiled twin also checks its arguments; this
+module is called only with the Garside layer's own keys and checks
+nothing on the hot path.
 
 Data layout: a canonical factor of B_n is a permutation of
 ``{0, ..., n-1}`` stored as ``n`` bytes, image of ``k`` at offset ``k``.
@@ -31,9 +32,13 @@ satisfies ``starting(B) <= finishing(A)``.
 
 The flip automorphism tau, conjugation by Delta, maps a factor ``A`` to
 ``k -> n-1-A[n-1-k]`` and keeps a sequence left-weighted. ``_tau_flat``
-applies it to a whole sequence with one reversal and one translate. The
-Garside layer uses it too, to move Delta powers and to flip whole
-summit elements.
+applies it to a whole sequence with one reversal and one translate.
+A^-1 = Delta^-1 (Delta A^-1), and the complement Delta A^-1 is again
+simple; ``_complement`` gives it, flipped or not, and ``_inverse``
+inverts a whole normal form with it. These three are the package's one
+Python flip, complement and inverse: the Garside layer uses them too, to
+move Delta powers, flip summit elements, invert keys and build its
+letter table.
 """
 
 from __future__ import annotations
@@ -138,27 +143,45 @@ def multiply(n: int, p1: int, flat1: bytes, p2: int, flat2: bytes) -> tuple[int,
     return _left_weight(n, p1 + p2, first + flat2, len(flat1) // n)
 
 
+def _complement(n: int, s: bytes, odd: int) -> bytes:
+    """tau^odd(Delta s^-1), for a simple element s and odd in {0, 1}.
+
+    s^-1 = Delta^-1 * (Delta s^-1), and Delta s^-1 is again simple, the
+    permutation t -> s^-1(n-1-t); its flip tau(Delta s^-1) is
+    t -> n-1-s^-1(t).
+    """
+    inv = bytearray(n)
+    for t in range(n):
+        inv[s[t]] = t
+    return bytes(inv.translate(_flip_table(n)) if odd else inv[::-1])
+
+
+def _inverse(n: int, p: int, flat: bytes) -> tuple[int, bytes]:
+    """(Delta^p A_1..A_l)^-1, the product over j = l, ..., 1 of
+    A_j^-1 = Delta^-1 (Delta A_j^-1), times the trailing Delta^-p.
+
+    With the Delta powers pushed to the front this is Delta^(-p-l) times
+    tau^(p+j-1)(Delta A_j^-1) for j = l down to 1. For a normal form that
+    is already a normal form: the complement of a canonical factor is
+    canonical, and A_j | A_(j+1) left-weighted makes the pair of their
+    twisted complements, taken in reverse order, left-weighted.
+    """
+    factors = [
+        _complement(n, flat[off : off + n], (p + off // n) % 2)
+        for off in range(len(flat) - n, -1, -n)
+    ]
+    return -p - len(flat) // n, b"".join(factors)
+
+
 def conjugate_batch(
     n: int, p: int, flat: bytes, simples: Sequence[bytes]
 ) -> list[tuple[int, bytes]]:
     """Normal forms of s^-1 * (Delta^p * flat) * s for each simple element
-    s of ``simples``, in order.
-
-    s^-1 = Delta^-1 * (Delta s^-1) and Delta s^-1 is again simple, the
-    permutation t -> s^-1(n-1-t), so each conjugate rewrites to
-    Delta^(p-1) * tau^p(Delta s^-1) * flat * s; tau(Delta s^-1) is
-    t -> n-1-s^-1(t).
+    s of ``simples``, in order: Delta^(p-1) * tau^p(Delta s^-1) * flat * s.
     """
     if n == 1:
         return [(0, b"")] * len(simples)
-    out = []
-    for s in simples:
-        inv = bytearray(n)
-        for t in range(n):
-            inv[s[t]] = t
-        head = inv.translate(_flip_table(n)) if p % 2 else inv[::-1]
-        out.append(_left_weight(n, p - 1, bytes(head) + flat + s, 1))
-    return out
+    return [_left_weight(n, p - 1, _complement(n, s, p % 2) + flat + s, 1) for s in simples]
 
 
 # -- the prefix order and minimal simple elements ---------------------------------
@@ -234,11 +257,9 @@ def _push(memo: dict, pair: bytes, a: bytes, f: bytes) -> bytes:
     return memo.setdefault(pair, _known(memo, bytes(quotient))[0])
 
 
-def minimal_simples(
-    n: int, p: int, flat: bytes, ip: int, iflat: bytes, memo: dict
-) -> list[bytes]:
+def minimal_simples(n: int, p: int, flat: bytes, memo: dict) -> list[bytes]:
     """The minimal simple elements of a summit element x = Delta^p * flat,
-    in atom order, given x^-1 = Delta^ip * iflat too.
+    in atom order.
 
     For each atom sigma_i, rho(sigma_i) is the least simple s >= sigma_i
     with s^-1 x s in the super summit set. The minimal simple elements are
@@ -249,8 +270,9 @@ def minimal_simples(
     For x = Delta^p x_1..x_r, inf(s^-1 x s) >= p iff tau^p(s) <= x_1..x_r s,
     that is iff a, tau^p(s) pushed through x_1, ..., x_r, is a prefix of
     s. Otherwise the join s v a is a larger lower bound for every
-    admissible s. The same test on x^-1 keeps sup, and rho(sigma_i) is
-    the first s, raised from sigma_i, that passes both tests.
+    admissible s. The same test on x^-1 (_inverse) keeps sup, and
+    rho(sigma_i) is the first s, raised from sigma_i, that passes both
+    tests.
 
     ``memo`` is a dict that the caller keeps for one closure walk, which
     meets the same few simple elements at vertex after vertex: it holds
@@ -260,7 +282,7 @@ def minimal_simples(
     identity = bytes(range(n))
     sides = [
         (q % 2, [f[off : off + n] for off in range(0, len(f), n)])
-        for q, f in ((p, flat), (ip, iflat))
+        for q, f in ((p, flat), _inverse(n, p, flat))
     ]
     rhos = []
     for i in range(n - 1):

@@ -3,8 +3,10 @@
    The compiled twin of braidkit._native, with the same algorithm: see
    that module for the data layout, the sliding and its inner scan, and
    the summit step (minimal_simples), which here holds inversion sets as
-   rows of bits and keeps no memo. The two return bit-identical results
-   on every input.
+   rows of bits and keeps no memo. Both twins derive a vertex's inverse
+   themselves, from the complements Delta A^-1 of its factors
+   (complement), which conjugate_batch uses too. The two return
+   bit-identical results on every input.
 
    Unlike _native, every entry point checks its arguments, so that no
    call can make it read or write outside its buffers: it takes exactly
@@ -80,6 +82,20 @@ flip(unsigned char *dst, const unsigned char *src, Py_ssize_t m, int n)
     for (Py_ssize_t off = 0; off < m * n; off += n)
         for (int t = 0; t < n; t++)
             dst[off + t] = (unsigned char)(n - 1 - src[off + n - 1 - t]);
+}
+
+/* tau^odd(Delta s^-1) into dst (see _native._complement): Delta s^-1
+   is the simple element t -> s^-1(n-1-t), and its flip is
+   t -> n-1-s^-1(t). */
+static void
+complement(unsigned char *dst, const unsigned char *s, int n, int odd)
+{
+    unsigned char inv[256] = {0};
+
+    for (int t = 0; t < n; t++)
+        inv[s[t]] = (unsigned char)t;
+    for (int t = 0; t < n; t++)
+        dst[t] = (unsigned char)(odd ? n - 1 - inv[t] : inv[n - 1 - t]);
 }
 
 /* Whether a factor is Delta (reversed) or the identity. */
@@ -227,7 +243,7 @@ conjugate_batch(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     PyObject *seq, *out = NULL;
     PyObject **items;
     Py_ssize_t mf, count;
-    unsigned char *buf = NULL, inv[256] = {0};
+    unsigned char *buf = NULL;
 
     if (!arity("conjugate_batch", nargs, 4) || !(n = strands(args[0])) || !delta_arg(args[1], &p) ||
         (mf = factor_count(args[2], n)) < 0)
@@ -258,12 +274,8 @@ conjugate_batch(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
         const unsigned char *s = (const unsigned char *)PyBytes_AS_STRING(items[k]);
         PyObject *key;
 
-        /* s^-1 x s = Delta^(p-1) * tau^p(Delta s^-1) * flat * s, and
-           Delta s^-1 is the simple element t -> s^-1(n-1-t). */
-        for (int t = 0; t < n; t++)
-            inv[s[t]] = (unsigned char)t;
-        for (int t = 0; t < n; t++)
-            buf[t] = (unsigned char)(p % 2 ? n - 1 - inv[t] : inv[n - 1 - t]);
+        /* s^-1 x s = Delta^(p-1) * tau^p(Delta s^-1) * flat * s. */
+        complement(buf, s, n, p % 2 != 0);
         memcpy(buf + n, PyBytes_AS_STRING(args[2]), mf * n);
         memcpy(buf + (mf + 1) * n, s, n);
         if (!(key = finish(buf, mf + 2, n, p - 1, 1)))
@@ -352,20 +364,18 @@ static PyObject *
 minimal_simples(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     int n, w;
-    long long p[2];
-    Py_ssize_t m[2];
-    const unsigned char *flats[2];
-    unsigned char *rhos, a[256], join[256] = {0}, quotient[256] = {0};
+    long long p;
+    Py_ssize_t m;
+    const unsigned char *flat;
+    unsigned char *rhos, a[256], inverse[256], join[256] = {0}, quotient[256] = {0};
     word_t *sets; /* two inversion sets of n rows each, then each atom's rho */
     PyObject *out = NULL;
 
-    if (!arity("minimal_simples", nargs, 6) || !(n = strands(args[0])) || !delta_arg(args[1], &p[0]) ||
-        (m[0] = factor_count(args[2], n)) < 0 || !delta_arg(args[3], &p[1]) ||
-        (m[1] = factor_count(args[4], n)) < 0)
+    if (!arity("minimal_simples", nargs, 4) || !(n = strands(args[0])) || !delta_arg(args[1], &p) ||
+        (m = factor_count(args[2], n)) < 0)
         return NULL;
-    /* args[5] is _native's memo, which this twin ignores. */
-    flats[0] = (const unsigned char *)PyBytes_AS_STRING(args[2]);
-    flats[1] = (const unsigned char *)PyBytes_AS_STRING(args[4]);
+    /* args[3] is _native's memo, which this twin ignores. */
+    flat = (const unsigned char *)PyBytes_AS_STRING(args[2]);
     w = (n + 63) / 64;
     if (!(sets = PyMem_Malloc(2 * (size_t)n * w * sizeof *sets + (size_t)n * n)))
         return PyErr_NoMemory();
@@ -380,13 +390,23 @@ minimal_simples(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
         for (int settled = 0, side = 0; settled < 2; side ^= 1) {
             int grows = 0;
 
-            /* a = tau^p(s), pushed through the factors of this side. */
-            if (p[side] % 2)
+            /* a = tau^q(s), pushed through the factors of this side:
+               x = Delta^p A_1..A_m, or x^-1 = Delta^(-p-m) times
+               tau^(p+j-1)(Delta A_j^-1) for j = m down to 1 (see
+               _native._inverse), each built as the push reaches it. */
+            if ((side ? p + m : p) % 2)
                 flip(a, s, 1, n);
             else
                 memcpy(a, s, n);
-            for (Py_ssize_t k = 0; k < m[side] && !is_fixed(a, n, 0); k++)
-                push(a, flats[side] + k * n, n, w, sets, sets + n * w, join, quotient);
+            for (Py_ssize_t k = 0; k < m && !is_fixed(a, n, 0); k++) {
+                const unsigned char *f = flat + k * n;
+
+                if (side) {
+                    complement(inverse, flat + (m - 1 - k) * n, n, (p + m - 1 - k) % 2 != 0);
+                    f = inverse;
+                }
+                push(a, f, n, w, sets, sets + n * w, join, quotient);
+            }
             inversions(sets, s, n, w);
             inversions(sets + n * w, a, n, w);
             for (int t = 0; t < n * w; t++) {
@@ -439,9 +459,8 @@ static PyMethodDef methods[] = {
      "conjugate_batch(n, p, flat, simples) -> list: the normal form of s^-1 * x * s for\n"
      "each simple element s, in order."},
     {"minimal_simples", (PyCFunction)(void (*)(void))minimal_simples, METH_FASTCALL,
-     "minimal_simples(n, p, flat, ip, iflat, memo) -> list: the minimal simple elements of\n"
-     "the summit element Delta^p * flat, whose inverse is Delta^ip * iflat, in atom order;\n"
-     "memo is ignored."},
+     "minimal_simples(n, p, flat, memo) -> list: the minimal simple elements of the summit\n"
+     "element Delta^p * flat, in atom order; memo is ignored."},
     {NULL, NULL, 0, NULL},
 };
 

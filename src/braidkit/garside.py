@@ -32,10 +32,11 @@ product on each side, so each element it returns is proven conjugate to
 the input; a conjugator is built from the edges, and re-verified end to
 end, only when one is read (SuperSummitSet). are_conjugate builds the
 conjugator of the vertex it finds and re-checks the certificate it
-returns through the word equation. A finished walk must be closed under
-tau, as every summit set is, before super_summit_set returns it or
-are_conjugate answers "not conjugate". Any failed check raises
-RuntimeError.
+returns through the word equation. The walk checks its own closure
+under tau, as every summit set is closed: it ends only when each
+expanded vertex's flip was reached, so super_summit_set returns no
+short set and are_conjugate answers "not conjugate" only after a
+complete walk. Any failed check raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from collections import deque
 from typing import Iterator
 
 from . import _kernel
-from ._native import _tau_flat
+from ._native import _complement, _inverse, _tau_flat
 from .words import (
     BraidWord,
     Permutation,
@@ -111,11 +112,6 @@ def _inv_flat(perm: bytes) -> bytes:
     for k, v in enumerate(perm):
         inv[v] = k
     return bytes(inv)
-
-
-def _complement(perm: bytes) -> bytes:
-    """The simple element Delta A^-1, so that A^-1 = Delta^-1 (Delta A^-1)."""
-    return _inv_flat(perm)[::-1]
 
 
 def _descents(perm: bytes) -> frozenset[int]:
@@ -292,7 +288,7 @@ class SuperSummitSet:
             if parent is None:
                 tracks[key] = self.seed_track
             else:
-                tracks[key] = _mul(n, _simple_inv_nf(n, s), tracks[parent])
+                tracks[key] = _mul(n, _inv(n, (0, s)), tracks[parent])
         for key in self.keys:
             _verify_track(n, self.word_key, key, tracks[key])
         return tuple((key, tracks[key]) for key in self.keys)
@@ -316,11 +312,11 @@ class SuperSummitSet:
 # -- words to normal forms ------------------------------------------------------
 
 
-def _assemble(n: int, items: list[tuple[int, bytes]], tail_shift: int = 0) -> tuple[int, bytes]:
-    """Collect ``prod(Delta^s_j * F_j) * Delta^tail`` into ``(p, flat)`` by
-    pushing every Delta power to the front; a factor picks up one flip
-    per Delta passing through it."""
-    acc = tail_shift
+def _assemble(n: int, items: list[tuple[int, bytes]]) -> tuple[int, bytes]:
+    """Collect ``prod(Delta^s_j * F_j)`` into ``(p, flat)`` by pushing
+    every Delta power to the front; a factor picks up one flip per Delta
+    passing through it."""
+    acc = 0
     out: list[bytes] = []
     for shift, perm in reversed(items):
         out.append(_tau_flat(n, perm) if acc % 2 else perm)
@@ -338,7 +334,7 @@ def _letter_items(n: int) -> dict[int, tuple[int, bytes]]:
         swap = bytearray(_id_flat(n))
         swap[i - 1], swap[i] = swap[i], swap[i - 1]
         items[i] = (0, bytes(swap))
-        items[-i] = (-1, _complement(items[i][1]))
+        items[-i] = (-1, _complement(n, items[i][1], 0))
     return items
 
 
@@ -406,18 +402,9 @@ def _mul(n: int, x: _NfKey, y: _NfKey) -> _NfKey:
 
 
 def _inv(n: int, x: _NfKey) -> _NfKey:
-    """(Delta^p A_1..A_l)^-1 = prod over reversed factors of
-    Delta^-1 (Delta A_j^-1), times the trailing Delta^-p.
-
-    With the Delta powers pushed to the front this is Delta^(-p-l) times
-    the twisted complements of A_l, ..., A_1. That is already a left
-    normal form: the complement of a canonical factor is canonical, and
-    A_j | A_(j+1) left-weighted makes the pair of their twisted
-    complements, taken in reverse order, left-weighted.
-    """
-    p, flat = x
-    items = [(-1, _complement(flat[off : off + n])) for off in range(len(flat) - n, -n, -n)]
-    return _assemble(n, items, tail_shift=-p)
+    """The key of x^-1, already a normal form (_native._inverse). For a
+    canonical factor s that is (-1, Delta s^-1)."""
+    return _inverse(n, *x)
 
 
 def _powers(n: int, x: _NfKey, top: int) -> list[_NfKey]:
@@ -431,12 +418,6 @@ def _powers(n: int, x: _NfKey, top: int) -> list[_NfKey]:
 def _flip_key(n: int, x: _NfKey) -> _NfKey:
     """tau(x) = Delta^-1 x Delta: the flip of each factor keeps a normal form."""
     return x[0], _tau_flat(n, x[1])
-
-
-@functools.lru_cache(maxsize=None)
-def _simple_inv_nf(n: int, s: bytes) -> _NfKey:
-    """Normal form of s^-1 = Delta^-1 * (Delta s^-1)."""
-    return _kernel.normalize(n, -1, _complement(s))
 
 
 # -- public operations -----------------------------------------------------------
@@ -533,7 +514,7 @@ def _drive_to_summit(n: int, key: _NfKey) -> _KeyPair:
     while key[1] and fails < bound:
         old_inf = key[0]
         key, u = _cycle_key(n, key)
-        track = _mul(n, _simple_inv_nf(n, u), track)
+        track = _mul(n, _inv(n, (0, u)), track)
         if key[0] > old_inf:
             fails = 0
             orbit.clear()
@@ -601,6 +582,12 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
     still gets exactly the edges, in the same order, that expanding it
     would give, so the walk, its tree, its cap and its completeness (the
     summit set is connected under minimal simple elements) are unchanged.
+
+    The walk checks its own tau-closure, which every summit set has: a
+    vertex's kept edges are dropped only when its twin is dequeued, so
+    when the queue empties, edges still kept name a vertex whose flip the
+    walk never reached. It stopped short, and RuntimeError is raised
+    instead of ending the walk.
     """
     inf0 = seed[0]
     len0 = len(seed[1])
@@ -615,7 +602,7 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
         if twin in expanded:
             edges = _flip_edges(n, expanded.pop(twin))
         else:
-            simples = _kernel.minimal_simples(n, *key, *_inv(n, key), memo)
+            simples = _kernel.minimal_simples(n, *key, memo)
             edges = list(zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)))
             if twin != key:
                 expanded[key] = edges
@@ -629,6 +616,8 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
                 raise ResourceLimitError("super summit set exceeded its cap", len(seen))
             seen.add(result)
             queue.append(result)
+    if expanded:
+        raise RuntimeError("internal error: the summit set is not closed under tau")
 
 
 def _tree_track(n: int, tree: _Tree, key: _NfKey, track: _NfKey) -> _NfKey:
@@ -640,7 +629,7 @@ def _tree_track(n: int, tree: _Tree, key: _NfKey, track: _NfKey) -> _NfKey:
         steps.append(s)
         parent, s = tree[parent]
     for s in reversed(steps):
-        track = _mul(n, _simple_inv_nf(n, s), track)
+        track = _mul(n, _inv(n, (0, s)), track)
     return track
 
 
@@ -650,13 +639,6 @@ def _verify_track(n: int, w_key: _NfKey, key: _NfKey, track: _NfKey) -> None:
         raise RuntimeError("internal error: summit conjugator failed verification")
 
 
-def _check_tau_closed(n: int, tree: _Tree) -> None:
-    """Raise unless every walked element's flip was walked too: a walk that
-    named only elements it had seen may have stopped short."""
-    if any(_flip_key(n, key) not in tree for key in tree):
-        raise RuntimeError("internal error: the summit set is not closed under tau")
-
-
 def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSummitSet:
     """The full super summit set of ``w``, as a view over the keys of its
     elements and the closure's breadth-first tree.
@@ -664,9 +646,9 @@ def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSu
     Verified before returning: the seed's track end to end,
     ``track * w * track^-1 = seed``, and every other element by its edge,
     ``parent * s = s * element``, two products with a one-factor operand.
-    By induction every element is conjugate to w; the set must also be
-    closed under tau (_check_tau_closed). No conjugator is built here;
-    SuperSummitSet builds and re-verifies them when they are read.
+    By induction every element is conjugate to w; the walk raises unless
+    the set is closed under tau (_summit_closure). No conjugator is built
+    here; SuperSummitSet builds and re-verifies them when they are read.
 
     Raises ValueError when ``max_size`` < 1, ResourceLimitError when the
     set would exceed it, RuntimeError when a check fails.
@@ -685,7 +667,6 @@ def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSu
             if _mul(n, parent, (0, s)) != _mul(n, (0, s), key):
                 raise RuntimeError("internal error: a summit edge failed verification")
         tree[key] = (parent, s)
-    _check_tau_closed(n, tree)
     keys = tuple(sorted(tree, key=lambda key: (key[0], len(key[1]), key[1])))
     return SuperSummitSet(n, w_key, seed_track, keys, tree)
 
@@ -721,7 +702,6 @@ def are_conjugate(
         if key == b_summit:
             break
     else:
-        _check_tau_closed(n, tree)
         return None
     found = _tree_track(n, tree, b_summit, a_track)
     certificate = ConjugacyCertificate(n, _mul(n, _inv(n, b_track), found))

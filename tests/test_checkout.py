@@ -1,8 +1,10 @@
-"""The checkout itself: git tracks no file that .gitignore excludes."""
+"""The checkout itself: git tracks no file that .gitignore excludes, and CI
+runs the Tier-1 command."""
 
 from __future__ import annotations
 
 import pathlib
+import re
 import shutil
 import subprocess
 
@@ -26,3 +28,11 @@ def test_no_tracked_file_is_ignored():
     listed = git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_ci_runs_the_tier1_command():
+    """The CI workflow runs the Tier-1 command that ROADMAP.md names."""
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert f"run: {command}\n" in workflow

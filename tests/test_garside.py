@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import math
 import random
 from collections import deque
 
@@ -42,7 +43,6 @@ from braidkit import _kernel, _native, garside
 from braidkit._native import _tau_flat
 from braidkit.garside import (
     DEFAULT_SSS_LIMIT,
-    _complement,
     _cycle_key,
     _decycle_key,
     _drive_to_summit,
@@ -407,7 +407,7 @@ class TestSuperSummitSet:
 
 def _minimal_simples(n, key, memo, kernel=_kernel):
     """The minimal simple elements of the summit element ``key``."""
-    return kernel.minimal_simples(n, *key, *_inv(n, key), memo)
+    return kernel.minimal_simples(n, *key, memo)
 
 
 def _expand_every_vertex(n, seed, max_size):
@@ -513,10 +513,11 @@ class TestFlipTwins:
     def test_a_short_walk_fails_the_tau_check(self, monkeypatch):
         """A flip that leaves the conjugates unflipped names x's own
         neighbours, which the walk has seen and skips: no wrong edge is
-        yielded, but the walk ends after 39 of the 62 elements. That set is
-        not closed under tau, so super_summit_set raises instead of
-        returning it, and are_conjugate raises instead of answering "not
-        conjugate" for an element the walk missed."""
+        yielded, but the walk runs out after 39 of the 62 elements. That
+        set is not closed under tau, so the walk raises instead of ending,
+        super_summit_set raises instead of returning it, and are_conjugate
+        raises instead of answering "not conjugate" for an element the
+        walk missed."""
         w = parse_word("4: 2 1 1 -2 -2 3 3 -1 -2")
         keys = super_summit_set(w).keys
         summit, _ = _drive_to_summit(4, _word_key(w))
@@ -526,7 +527,10 @@ class TestFlipTwins:
             return [(s, _flip_key(n, key)) for s, key in honest(n, edges)]
 
         monkeypatch.setattr(garside, "_flip_edges", unflipped)
-        walked = {key for key, _, _ in _summit_closure(4, summit, DEFAULT_SSS_LIMIT)}
+        walked = set()
+        with pytest.raises(RuntimeError, match="not closed under tau"):
+            for key, _, _ in _summit_closure(4, summit, DEFAULT_SSS_LIMIT):
+                walked.add(key)
         assert (len(keys), len(walked)) == (62, 39)
         with pytest.raises(RuntimeError, match="not closed under tau"):
             super_summit_set(w)
@@ -649,6 +653,30 @@ class TestKeyInverse:
             assert _kernel.normalize(n, *inverse) == inverse
             assert _mul(n, x, inverse) == (0, b"")
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_simple_inverses_need_no_normalization(self, n):
+        """The summit walk, its tree and the drive to the summit invert one
+        canonical factor at a time, as (-1, Delta s^-1) from _inv with no
+        kernel normalize: on every tree edge s and every cycling
+        conjugator u of seeded summit sets, that key is the kernel's normal
+        form of Delta^-1 (Delta s^-1)."""
+        simples = set()
+        for seed in range(6):
+            w = random_word(n, 6, 500 + seed)
+            try:
+                sss = super_summit_set(w, 2000)
+            except ResourceLimitError:
+                continue
+            simples.update(s for _, s in sss.tree.values() if s is not None)
+            for key in (_word_key(w), *sss.keys):
+                if key[1]:
+                    simples.add(_cycle_key(n, key)[1])
+        # B_3 has only four canonical factors.
+        assert len(simples) >= min(10, math.factorial(n) - 2)
+        for s in simples:
+            complement = bytes(s.index(t) for t in range(n))[::-1]
+            assert _inv(n, (0, s)) == (-1, complement) == _kernel.normalize(n, -1, complement)
+
 
 class TestPermutationOfKey:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -712,7 +740,7 @@ class TestMinimalSimples:
 
             @functools.cache
             def prefix(s: bytes, t: bytes) -> bool:
-                return _kernel.normalize(n, -1, _complement(s) + t)[0] >= 0
+                return _kernel.normalize(n, -1, _native._complement(n, s, 0) + t)[0] >= 0
 
             for seed in range(8):
                 w = random_word(n, 6, 700 + seed)

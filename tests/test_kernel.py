@@ -7,10 +7,11 @@ The compiled twin is built from its C source by the session fixture
 
 from __future__ import annotations
 
-import functools
+import inspect
 import itertools
 import pathlib
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -23,6 +24,9 @@ import test_garside
 from braidkit import _kernel, _native, garside
 from braidkit.garside import _letters_to_factors
 from braidkit.words import BraidWord, random_word
+
+
+KERNEL_FUNCTIONS = ("normalize", "multiply", "conjugate_batch", "minimal_simples")
 
 
 def random_flat(rng: random.Random, n: int, factors: int) -> bytes:
@@ -281,13 +285,13 @@ class TestBackendParity:
 
 class TestMinimalSimplesParity:
     """The C twin of minimal_simples, which keeps no memo, against
-    _native's, which keeps one per walk as garside does."""
+    _native's, which keeps one per walk as garside does. Each twin is
+    handed only the vertex and derives its inverse itself."""
 
     @staticmethod
     def both(speedups, n, key, memo):
-        inv = garside._inv(n, key)
-        expected = _native.minimal_simples(n, *key, *inv, memo)
-        assert speedups.minimal_simples(n, *key, *inv, None) == expected
+        expected = _native.minimal_simples(n, *key, memo)
+        assert speedups.minimal_simples(n, *key, None) == expected
         return expected
 
     @pytest.mark.parametrize("n, length", [(3, 8), (4, 8), (5, 6), (6, 5), (7, 4)])
@@ -307,7 +311,11 @@ class TestMinimalSimplesParity:
         assert vertices >= 30
 
     def test_random_summit_elements(self, speedups):
+        """The summit elements include odd and negative Delta powers and
+        odd and even factor counts, so every parity of the twist that
+        each twin gives its derived inverse's factors is met."""
         rng = random.Random(47)
+        shapes = set()
         for _ in range(400):
             n = rng.randint(1, 8)
             word = random_word(n, rng.randint(0, 14), rng.randrange(2**32)) if n > 1 else None
@@ -315,6 +323,11 @@ class TestMinimalSimplesParity:
             summit, _ = garside._drive_to_summit(n, key)
             found = self.both(speedups, n, summit, {})
             assert len(found) == len(set(found)) <= max(n - 1, 0)
+            if summit[1]:
+                shapes.add((summit[0] % 2, summit[0] < 0, len(summit[1]) // n % 2))
+        assert {odd for odd, _, _ in shapes} == {0, 1}
+        assert {negative for _, negative, _ in shapes} == {False, True}
+        assert {length for _, _, length in shapes} == {0, 1}
 
     @pytest.mark.parametrize(
         "n, letters",
@@ -342,7 +355,7 @@ class TestCompiledArguments:
         with pytest.raises(ValueError, match="strand count"):
             speedups.conjugate_batch(n, 0, b"", [])
         with pytest.raises(ValueError, match="strand count"):
-            speedups.minimal_simples(n, 0, b"", 0, b"", None)
+            speedups.minimal_simples(n, 0, b"", None)
 
     def test_largest_strand_count(self, speedups):
         """n = 255 is the kernel's limit, MAX_N in _speedups.c, which the
@@ -351,7 +364,7 @@ class TestCompiledArguments:
         assert speedups.normalize(255, 0, delta + ident) == (1, b"")
         assert speedups.conjugate_batch(255, 2, b"", [delta]) == [(2, b"")]
         atoms = [bytes(ident[:i] + bytes((i + 1, i)) + ident[i + 2 :]) for i in range(254)]
-        assert speedups.minimal_simples(255, 2, b"", -2, b"", None) == atoms
+        assert speedups.minimal_simples(255, 2, b"", None) == atoms
 
     def test_partial_factors(self, speedups):
         whole, partial = bytes((1, 0, 2)), bytes((1, 0))
@@ -364,9 +377,9 @@ class TestCompiledArguments:
         with pytest.raises(ValueError, match="multiple of n"):
             speedups.conjugate_batch(3, 0, partial, [whole])
         with pytest.raises(ValueError, match="multiple of n"):
-            speedups.minimal_simples(3, 0, whole + partial, 0, whole, None)
+            speedups.minimal_simples(3, 0, whole + partial, None)
         with pytest.raises(ValueError, match="multiple of n"):
-            speedups.minimal_simples(3, 0, whole, 0, partial, None)
+            speedups.minimal_simples(3, 0, partial, None)
 
     @pytest.mark.parametrize("s", [b"", bytes((1,)), bytes((1, 0)), bytes((1, 0, 2, 3))])
     def test_simple_element_of_the_wrong_length(self, speedups, s):
@@ -387,11 +400,9 @@ class TestCompiledArguments:
         with pytest.raises(TypeError):
             speedups.conjugate_batch(3, "0", b"", [])
         with pytest.raises(TypeError):
-            speedups.minimal_simples(3, 0, bad, 0, b"", None)
+            speedups.minimal_simples(3, 0, bad, None)
         with pytest.raises(TypeError):
-            speedups.minimal_simples(3, 0, b"", 0, bad, None)
-        with pytest.raises(TypeError):
-            speedups.minimal_simples(3, 0, b"", "0", b"", None)
+            speedups.minimal_simples(3, "0", b"", None)
 
     def test_wrong_arguments(self, speedups):
         """Arguments are read by position, so a call with too few must not
@@ -403,10 +414,10 @@ class TestCompiledArguments:
             speedups.multiply(3, 0, b"", 0)
         with pytest.raises(TypeError, match="takes 4 arguments"):
             speedups.conjugate_batch(3, 0, b"", [], [])
-        with pytest.raises(TypeError, match="takes 6 arguments"):
-            speedups.minimal_simples(3, 0, b"", 0, b"")
-        with pytest.raises(TypeError, match="takes 6 arguments"):
-            speedups.minimal_simples(3, 0, b"", 0, b"", None, None)
+        with pytest.raises(TypeError, match="takes 4 arguments"):
+            speedups.minimal_simples(3, 0, b"")
+        with pytest.raises(TypeError, match="takes 4 arguments"):
+            speedups.minimal_simples(3, 0, b"", None, None)
         with pytest.raises(TypeError):
             speedups.normalize(n=3, delta=0, flat=b"")
         with pytest.raises(TypeError):
@@ -456,23 +467,22 @@ class TestCompiledArguments:
         their arguments or their buffer: refcounts are unchanged, and
         memory stays flat over many calls."""
         key = _native.normalize(5, -1, bytes((1, 0, 3, 4, 2, 4, 3, 2, 1, 0)))
-        inv = garside._inv(5, key)
         memo = {}
-        refs = [sys.getrefcount(arg) for arg in (key[1], inv[1], memo)]
+        refs = [sys.getrefcount(arg) for arg in (key[1], memo)]
 
         def calls() -> int:
             raised = 0
             for args in (
-                (5, *key, *inv[:1], None, memo),
-                (5, *key, inv[0], inv[1][:-1], memo),
-                (300, *key, *inv, memo),
-                (5, *key, *inv),
+                (5, key[0], None, memo),
+                (5, key[0], key[1][:-1], memo),
+                (300, *key, memo),
+                (5, *key),
             ):
                 try:
                     speedups.minimal_simples(*args)
                 except (TypeError, ValueError):
                     raised += 1
-            assert speedups.minimal_simples(5, *key, *inv, memo)
+            assert speedups.minimal_simples(5, *key, memo)
             return raised
 
         assert calls() == 4
@@ -486,7 +496,7 @@ class TestCompiledArguments:
         finally:
             tracemalloc.stop()
         assert traced[1] - traced[0] < 10_000
-        assert [sys.getrefcount(arg) for arg in (key[1], inv[1], memo)] == refs
+        assert [sys.getrefcount(arg) for arg in (key[1], memo)] == refs
         assert memo == {}
 
     def test_deltas_beyond_the_kernel(self, speedups):
@@ -495,25 +505,33 @@ class TestCompiledArguments:
         with pytest.raises(OverflowError):
             speedups.multiply(3, 0, b"", -(2**70), b"")
         with pytest.raises(OverflowError):
-            speedups.minimal_simples(3, 0, b"", 2**62, b"", None)
+            speedups.minimal_simples(3, 2**62, b"", None)
 
 
 class TestCompiledWorkloads:
     def test_goldens(self, speedups, monkeypatch):
         """The SSS and classify goldens, run with every kernel call of the
         Garside layer on the compiled kernel, minimal_simples included,
-        give their pinned element and conjugator hashes. The
-        cache of simple inverses starts empty, so it holds the C kernel's
-        results too."""
-        for name in ("normalize", "multiply", "conjugate_batch", "minimal_simples"):
+        give their pinned element and conjugator hashes."""
+        for name in KERNEL_FUNCTIONS:
             monkeypatch.setattr(_kernel, name, getattr(speedups, name))
-        fresh = functools.lru_cache(maxsize=None)(garside._simple_inv_nf.__wrapped__)
-        monkeypatch.setattr(garside, "_simple_inv_nf", fresh)
         test_garside.TestSuperSummitSet().test_golden()
         test_classify_golden.test_curated_words()
         test_classify_golden.test_embedded_b3_words()
         test_classify_golden.test_conjugated_b4_words()
-        assert fresh.cache_info().currsize > 0
+
+
+class TestArity:
+    """Each kernel function has one arity, the same in both twins."""
+
+    @pytest.mark.parametrize("name", KERNEL_FUNCTIONS)
+    def test_twins_take_the_same_arguments(self, speedups, name):
+        """The C twin names its arity in the TypeError of a call with no
+        arguments; the _native twin's signature has that many parameters."""
+        with pytest.raises(TypeError, match="takes [0-9]+ arguments") as raised:
+            getattr(speedups, name)()
+        arity = int(re.search("takes ([0-9]+) arguments", str(raised.value)).group(1))
+        assert len(inspect.signature(getattr(_native, name)).parameters) == arity
 
 
 class TestBackendSelection:
