@@ -339,17 +339,16 @@ closure_simple(unsigned char *perm, word_t *set, int n, int w)
     }
 }
 
-/* a := f^-1 (a v f), the quotient of the join by f. join and quotient
-   take 256 bytes, so a factor whose bytes are no permutation writes no
-   further. */
+/* a := f^-1 (a v f), the quotient of the join by f, with fset the
+   inversion set of f. join and quotient take 256 bytes, so a factor
+   whose bytes are no permutation writes no further. */
 static void
-push(unsigned char *a, const unsigned char *f, int n, int w, word_t *set, word_t *scratch,
+push(unsigned char *a, const unsigned char *f, const word_t *fset, int n, int w, word_t *set,
      unsigned char *join, unsigned char *quotient)
 {
     inversions(set, a, n, w);
-    inversions(scratch, f, n, w);
     for (int t = 0; t < n * w; t++)
-        set[t] |= scratch[t];
+        set[t] |= fset[t];
     closure_simple(join, set, n, w);
     for (int k = 0; k < n; k++)
         quotient[f[k]] = join[k];
@@ -367,8 +366,11 @@ minimal_simples(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     long long p;
     Py_ssize_t m;
     const unsigned char *flat;
-    unsigned char *rhos, a[256], inverse[256], join[256] = {0}, quotient[256] = {0};
-    word_t *sets; /* two inversion sets of n rows each, then each atom's rho */
+    unsigned char *inverses, *rhos, a[256], join[256] = {0}, quotient[256] = {0};
+    /* two inversion sets of n rows each, the inversion sets of the m
+       factors of x and then of x^-1, the m factors of x^-1, then each
+       atom's rho */
+    word_t *sets, *fsets;
     PyObject *out = NULL;
 
     if (!arity("minimal_simples", nargs, 4) || !(n = strands(args[0])) || !delta_arg(args[1], &p) ||
@@ -377,9 +379,22 @@ minimal_simples(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     /* args[3] is _native's memo, which this twin ignores. */
     flat = (const unsigned char *)PyBytes_AS_STRING(args[2]);
     w = (n + 63) / 64;
-    if (!(sets = PyMem_Malloc(2 * (size_t)n * w * sizeof *sets + (size_t)n * n)))
+    /* (2 + 2m) n w words and (m + n) n bytes, below 70 (m + n) n bytes
+       as w <= 4; the first test keeps that product from wrapping. */
+    if ((size_t)m > (size_t)PY_SSIZE_T_MAX / 70 / n - n ||
+        !(sets = PyMem_Malloc((2 + 2 * (size_t)m) * n * w * sizeof *sets + ((size_t)m + n) * n)))
         return PyErr_NoMemory();
-    rhos = (unsigned char *)(sets + 2 * n * w);
+    fsets = sets + 2 * n * w;
+    inverses = (unsigned char *)(fsets + 2 * m * n * w);
+    rhos = inverses + m * n;
+    /* x = Delta^p A_1..A_m, and x^-1 = Delta^(-p-m) times
+       tau^(p+j-1)(Delta A_j^-1) for j = m down to 1 (see
+       _native._inverse): each side's factors in push order. */
+    for (Py_ssize_t k = 0; k < m; k++) {
+        complement(inverses + k * n, flat + (m - 1 - k) * n, n, (p + m - 1 - k) % 2 != 0);
+        inversions(fsets + k * n * w, flat + k * n, n, w);
+        inversions(fsets + (m + k) * n * w, inverses + k * n, n, w);
+    }
     for (int i = 0; i < n - 1; i++) {
         unsigned char *s = rhos + i * n;
 
@@ -390,23 +405,14 @@ minimal_simples(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
         for (int settled = 0, side = 0; settled < 2; side ^= 1) {
             int grows = 0;
 
-            /* a = tau^q(s), pushed through the factors of this side:
-               x = Delta^p A_1..A_m, or x^-1 = Delta^(-p-m) times
-               tau^(p+j-1)(Delta A_j^-1) for j = m down to 1 (see
-               _native._inverse), each built as the push reaches it. */
+            /* a = tau^q(s), pushed through the factors of this side. */
             if ((side ? p + m : p) % 2)
                 flip(a, s, 1, n);
             else
                 memcpy(a, s, n);
-            for (Py_ssize_t k = 0; k < m && !is_fixed(a, n, 0); k++) {
-                const unsigned char *f = flat + k * n;
-
-                if (side) {
-                    complement(inverse, flat + (m - 1 - k) * n, n, (p + m - 1 - k) % 2 != 0);
-                    f = inverse;
-                }
-                push(a, f, n, w, sets, sets + n * w, join, quotient);
-            }
+            for (Py_ssize_t k = 0; k < m && !is_fixed(a, n, 0); k++)
+                push(a, (side ? inverses : flat) + k * n, fsets + (side * m + k) * n * w, n, w, sets, join,
+                     quotient);
             inversions(sets, s, n, w);
             inversions(sets + n * w, a, n, w);
             for (int t = 0; t < n * w; t++) {

@@ -13,9 +13,13 @@ for braid words.
 
 An isotopy class of simple closed curves around punctures is modelled as
 the conjugacy class of an unoriented cyclic free-group word. That is
-exact arithmetic and supports the two predicates the rest of the package
-needs, image and preservation of curve classes, at the cost that only
-explicitly named curves can be tested.
+exact arithmetic and serves the public predicates, image and
+preservation of curve classes, for any named curve. :func:`classify`
+needs only round curves, and tests them without free words: a simple
+element maps the round curve around punctures i..j to a round curve
+exactly when its permutation maps positions i..j onto an interval, and
+linking numbers rule most (curve, braid) pairs out before any power is
+taken. The free-group action re-checks only the witness it returns.
 
 Free-group letters are signed 1-based generator indices (``-i`` is
 ``x_i^-1``). Canonical forms order letters by ``(index, sign)`` with the
@@ -25,17 +29,17 @@ positive letter first, so ``x_1 < x_1^-1 < x_2 < ...``.
 from __future__ import annotations
 
 import dataclasses
-import functools
+import math
 
 from .garside import (
     DEFAULT_SSS_LIMIT,
     ResourceLimitError,
     _check_cap,
     _flip_key,
+    _inv_flat,
     _nf_of_word,
     _permutation_of_key,
     _powers,
-    _simple_letters,
     _word_of_key,
     super_summit_set,
 )
@@ -310,52 +314,96 @@ def _puncture_orbit_period(perm: bytes, mask: bytes) -> int | None:
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def _round_spans(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Canonical letters of every round class, mapped to its span."""
-    return {curve.representative.letters: span for curve, span in _round_curves(n)}
-
-
-@functools.lru_cache(maxsize=None)
-def _factor_round_image(n: int, factor: bytes, i: int, j: int) -> tuple[int, int] | None:
-    """Span of the image of the round curve i..j under one canonical
-    factor, or None when the image is not round.
-
-    A factor has at most n(n-1)/2 letters and each letter scales a curve
-    word by at most 3 in either direction, so when the final image is
-    round (at most n letters) no intermediate can exceed n * 3^(half the
-    factor length); words past that bound are provably not round.
-    """
-    word = BraidWord(n, _simple_letters(n, factor))
-    base = curve_class_round(i, j, n)
-    cap = n * 3 ** (n * (n - 1) // 4 + 2)
-    try:
-        image = artin_action(word, base.representative, max_letters=cap)
-    except ResourceLimitError:
-        return None
-    return _round_spans(n).get(_canonical_cycle(_cyclic_reduce(image.letters)))
-
-
 def _preserves_round_curve(n: int, key: tuple[int, bytes], i: int, j: int) -> bool:
     """Whether the braid with normal-form key ``key`` maps the round curve
     i..j to itself, walking the factors and demanding round images
     throughout.
 
-    The walk is exact: a braid sending a round curve to a round curve
-    sends it to a round curve after every normal-form prefix, so an
-    intermediate non-round image already refutes preservation. The full
-    twist acts trivially on curve classes and the half twist flips spans,
-    which handles the Delta power.
+    A simple element maps the round curve around an interval of
+    punctures to a round curve exactly when its permutation maps the
+    interval onto an interval, and the image is the curve around that
+    interval: a strand from outside ends on the same side of all the
+    curve's strands or crosses each of them once, so they move as one
+    tube. The walk is exact: a braid sending a round curve to a round
+    curve sends it to a round curve after every normal-form prefix, so
+    an intermediate non-round image already refutes preservation. The
+    full twist acts trivially on curve classes and the half twist flips
+    spans, which handles the Delta power.
     """
     p, flat = key
-    span = (i, j)
-    if p % 2:
-        span = (n + 1 - span[1], n + 1 - span[0])
+    lo, hi = (n - j, n - i) if p % 2 else (i - 1, j - 1)
     for off in range(0, len(flat), n):
-        span = _factor_round_image(n, flat[off : off + n], *span)
-        if span is None:
+        images = flat[off + lo : off + hi + 1]
+        lo, hi = min(images), max(images)
+        if hi - lo != j - i:
             return False
-    return span == (i, j)
+    return (lo, hi) == (i - 1, j - 1)
+
+
+def _crossings_of_power(n: int, letters: tuple[int, ...], perm: bytes) -> list[list[int]]:
+    """Signed crossing counts of w^m, m the order of w's permutation
+    ``perm`` (0-based images), from the letters of w: entry [a][b] counts
+    the crossings between the strands that start at 0-based positions a
+    and b, sigma_i as +1 and its inverse as -1.
+
+    The strands that start a copy of w at (a, b) start the next copy at
+    (perm[a], perm[b]), so over w^m a pair's count is w's count summed
+    along the pair's orbit under perm, repeated m/L times for an orbit of
+    length L: m times the orbit's average. No copy of w is multiplied out.
+    """
+    at = list(range(n))
+    once = [[0] * n for _ in range(n)]
+    for letter in letters:
+        t = abs(letter) - 1
+        a, b = at[t], at[t + 1]
+        sign = 1 if letter > 0 else -1
+        once[a][b] += sign
+        once[b][a] += sign
+        at[t], at[t + 1] = b, a
+    orbits = []
+    seen: set[tuple[int, int]] = set()
+    for a in range(n):
+        for b in range(n):
+            if (a, b) in seen:
+                continue
+            orbit = []
+            x, y = a, b
+            while (x, y) not in seen:
+                seen.add((x, y))
+                orbit.append((x, y))
+                x, y = perm[x], perm[y]
+            orbits.append(orbit)
+    m = math.lcm(*map(len, orbits))
+    counts = [[0] * n for _ in range(n)]
+    for orbit in orbits:
+        total = sum(once[x][y] for x, y in orbit) * (m // len(orbit))
+        for x, y in orbit:
+            counts[x][y] = total
+    return counts
+
+
+def _tube_ruled_out(crossings: list[list[int]], inside: bytes) -> bool:
+    """Whether w^m's crossing counts (:func:`_crossings_of_power`) rule
+    out a tube around ``inside``, a set of w's 0-based strands: some
+    strand outside it crosses two strands inside it a different number
+    of times."""
+    return any(len({row[a] for a in inside}) > 1 for o, row in enumerate(crossings) if o not in inside)
+
+
+def _track_permutation(tree: dict, tracks: dict[tuple[int, bytes], bytes], key: tuple[int, bytes]) -> bytes:
+    """The permutation of a summit element's conjugator, as 0-based
+    images, filled into ``tracks`` along the closure-tree path from the
+    nearest element already there. An element reached by the edge
+    (parent, s) has the conjugator s^-1 times its parent's."""
+    path = []
+    while key not in tracks:
+        parent, s = tree[key]
+        path.append((key, s))
+        key = parent
+    perm = tracks[key]
+    for key, s in reversed(path):
+        perm = tracks[key] = _inv_flat(s).translate(perm.ljust(256, b"\0"))
+    return perm
 
 
 def classify(
@@ -371,19 +419,35 @@ def classify(
     triples are tested in that lexicographic order (curves by (i, j),
     elements in canonical summit order, powers ascending) and the first
     hit is the witness, re-verified through the raw free-group action
-    before returning. A power k is tried only when the element's
-    permutation, read off its key, fixes the curve's punctures at power
-    k, and preservation is decided by the factor walk of
-    :func:`_preserves_round_curve`, which builds no large free words.
+    before returning. Preservation is decided by the factor walk of
+    :func:`_preserves_round_curve`, which builds no free words.
 
-    The scan follows Delta-orbits. The flip tau(x) = Delta^-1 x Delta maps
-    the round curve i..j to (n+1-j)..(n+1-i), tau(x)^k = tau(x^k), and the
-    summit set is closed under tau, so x^k preserves C exactly when
-    tau(x)^k preserves tau(C). A curve whose flip came earlier is skipped,
-    as the flip had no hit; on a curve equal to its flip, x is skipped
-    when tau(x) comes earlier, as a hit at x^k is one at tau(x)^k, found
-    first. Only triples without a hit are skipped, so the first hit, and
-    with it the witness, is that of the full scan.
+    Three tests pass over (curve, element) pairs before any power of the
+    element is computed, flipped or walked. Each passes over only triples
+    without a hit, so the first hit, and with it the witness, its power
+    and its conjugator, is that of the full scan:
+
+    - Punctures. A power k is tried only when the element's permutation,
+      read off its key, fixes the curve's punctures at power k.
+    - Linking numbers. Let m be the order of w's permutation. An element
+      y = c w c^-1, c its conjugator, has the pure power y^m = c w^m c^-1,
+      whose strands starting at a and b cross as often as those of w^m
+      starting at c(a) and c(b), c read as a permutation. If some power
+      y^k preserved the curve, the pure braid y^lcm(k, m) would move the
+      curve's strands as one tube, so every strand outside would cross
+      each of them equally often; crossing counts of pure braids add
+      under products, so y^m would show the same. When some strand
+      outside does not, no power of y preserves the curve. w^m's counts
+      are read once per call (:func:`_crossings_of_power`); c's
+      permutation is the seed track's, extended by one translate per
+      tree edge along the paths the scan reaches.
+    - Delta-orbits. The flip tau(x) = Delta^-1 x Delta maps the round
+      curve i..j to (n+1-j)..(n+1-i), tau(x)^k = tau(x^k), and the summit
+      set is closed under tau, so x^k preserves C exactly when tau(x)^k
+      preserves tau(C). A curve whose flip came earlier is skipped, as
+      the flip had no hit; on a curve equal to its flip, x is skipped
+      when tau(x) comes earlier, as a hit at x^k is one at tau(x)^k,
+      found first.
 
     Each element's powers are keys, computed once when first needed: as
     products, or as the flips of its twin's. super_summit_set verified
@@ -402,6 +466,9 @@ def classify(
         return ClassificationResult("periodic")
     sss = super_summit_set(w, max_size=max_sss)
     perms = [_permutation_of_key(n, key) for key in sss.keys]
+    crossings = _crossings_of_power(n, w.letters, _permutation_of_key(n, sss.word_key))
+    # The closure tree lists its seed first.
+    tracks = {next(iter(sss.tree)): _permutation_of_key(n, sss.seed_track)}
     twins: dict[tuple[int, bytes], tuple[int, bytes]] = {}
     powers: dict[tuple[int, bytes], list[tuple[int, bytes]]] = {}
     for curve, (i, j) in _round_curves(n):
@@ -411,6 +478,8 @@ def classify(
         for key, perm in zip(sss.keys, perms):
             period = _puncture_orbit_period(perm, mask)
             if period is None:
+                continue
+            if _tube_ruled_out(crossings, _track_permutation(sss.tree, tracks, key)[i - 1 : j]):
                 continue
             twin = twins[key] = twins.get(key) or _flip_key(n, key)
             if i + j == n + 1 and twin < key:

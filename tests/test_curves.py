@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import time
 
 import pytest
 from conftest import braid_word_pairs, braid_words, free_words
@@ -35,13 +38,16 @@ from braidkit import (
 from braidkit import curves
 from braidkit.curves import (
     _canonical_cycle,
+    _crossings_of_power,
     _cyclic_reduce,
     _least_rotation,
     _preserves_round_curve,
     _puncture_orbit_period,
     _round_curves,
+    _track_permutation,
+    _tube_ruled_out,
 )
-from braidkit.garside import _flip_key, _permutation_of_key, _powers, _word_of_key
+from braidkit.garside import _flip_key, _permutation_of_key, _powers, _simple_letters, _word_of_key
 
 
 class TestFreeWord:
@@ -324,17 +330,54 @@ def scanned(w: BraidWord):
     return r.kind, round_span(r.curve), r.power, r.conjugator.letters
 
 
-def penner(rng: random.Random) -> BraidWord:
-    """A Penner-type pseudo-Anosov B_4 braid, conjugated by a short word:
-    positive squares of sigma_1 and sigma_3, negative squares of sigma_2,
-    every generator present."""
+def penner(rng: random.Random, n: int = 4) -> BraidWord:
+    """A Penner-type pseudo-Anosov B_n braid, conjugated by a short word:
+    positive squares of the odd generators, negative squares of the even
+    ones, every generator present."""
     while True:
-        blocks = [rng.choice((1, 2, 3)) for _ in range(rng.randint(3, 4))]
-        if set(blocks) == {1, 2, 3}:
+        blocks = [rng.choice(range(1, n)) for _ in range(rng.randint(n - 1, n))]
+        if set(blocks) == set(range(1, n)):
             break
     letters = [g if g % 2 else -g for g in blocks for _ in range(2)]
-    c = random_word(4, rng.randint(1, 3), rng.randrange(2**32))
-    return concat(c, BraidWord(4, tuple(letters)), invert_word(c))
+    c = random_word(n, rng.randint(1, 3), rng.randrange(2**32))
+    return concat(c, BraidWord(n, tuple(letters)), invert_word(c))
+
+
+def crossings_by_copies(n: int, letters, copies: int) -> list[list[int]]:
+    """Signed crossing counts of ``copies`` copies of a word, one letter
+    at a time: the reference for _crossings_of_power."""
+    at = list(range(n))
+    counts = [[0] * n for _ in range(n)]
+    for letter in tuple(letters) * copies:
+        t = abs(letter) - 1
+        a, b = at[t], at[t + 1]
+        counts[a][b] += 1 if letter > 0 else -1
+        counts[b][a] += 1 if letter > 0 else -1
+        at[t], at[t + 1] = b, a
+    return counts
+
+
+def order(perm: bytes) -> int:
+    lengths = []
+    for start in range(len(perm)):
+        v, length = perm[start], 1
+        while v != start:
+            v, length = perm[v], length + 1
+        lengths.append(length)
+    return math.lcm(*lengths)
+
+
+def shift(n: int, src: tuple[int, int], dst: tuple[int, int]) -> bytes:
+    """The simple element that moves the punctures of span ``src``, in
+    order, onto span ``dst`` (1-based, equal sizes) and keeps the order
+    of the others, as 0-based images."""
+    inside = list(range(src[0] - 1, src[1]))
+    arranged = [v for v in range(n) if v not in inside]
+    arranged[dst[0] - 1 : dst[0] - 1] = inside
+    images = bytearray(n)
+    for position, v in enumerate(arranged):
+        images[v] = position
+    return bytes(images)
 
 
 class TestPuncturePeriod:
@@ -406,7 +449,6 @@ class TestClassifyScanIsExact:
         to its flip. No B_4 word was found whose first hit lies there
         (each had one on (1, 2) or (1, 3) first), so only the restriction
         makes the element skip choose the witness."""
-        curves._round_spans(4)  # cached before the patch, which it must not see
         real = curves._round_curves
         monkeypatch.setattr(curves, "_round_curves", lambda n: [c for c in real(n) if c[1] == (2, 3)])
         w = BraidWord(4, letters)
@@ -423,3 +465,103 @@ class TestClassifyScanIsExact:
         ]
         assert len(skipped) == skipped_before
         assert (_flip_key(4, witness) == witness) == witness_fixed
+
+
+class TestRoundImages:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_simple_element_against_the_free_group_action(self, n):
+        """A simple element maps the round curve around i..j to a round
+        curve exactly when its permutation maps i..j onto an interval,
+        and the image is the curve around that interval. The factor walk
+        is compared with image_curve_class on every simple element s and
+        round curve: it is run on s followed by a factor that moves each
+        round span D of the curve's size back onto (i, j), and must report
+        the curve preserved exactly when s maps it to the curve around D."""
+        for images in itertools.permutations(range(n)):
+            s = bytes(images)
+            word = BraidWord(n, _simple_letters(n, s))
+            for curve, (i, j) in _round_curves(n):
+                image = round_span(image_curve_class(word, curve))
+                for a in range(1, n + 1 - (j - i)):
+                    d = (a, a + j - i)
+                    assert _preserves_round_curve(n, (0, s + shift(n, d, (i, j))), i, j) == (image == d)
+
+
+class TestCrossingsOfPower:
+    def test_orbit_sums_match_the_m_fold_count(self):
+        rng = random.Random(3)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(2, 6)
+            w = random_word(n, rng.randint(0, 12), rng.randrange(2**32))
+            perm = bytes(v - 1 for v in permutation_of_word(w).images)
+            m = order(perm)
+            assert _crossings_of_power(n, w.letters, perm) == crossings_by_copies(n, w.letters, m)
+            checked += 1
+
+    def test_order_2310_on_30_strands(self):
+        """Cycles of lengths 2, 3, 5, 7 and 11: the reference walks 2,310
+        copies of the word, the orbit sums walk one."""
+        letters: list[int] = []
+        start = 1
+        for length in (2, 3, 5, 7, 11):
+            letters += range(start, start + length - 1)
+            start += length
+        w = BraidWord(30, tuple(letters))
+        perm = bytes(v - 1 for v in permutation_of_word(w).images)
+        assert order(perm) == 2310
+        began = time.perf_counter()
+        counts = _crossings_of_power(30, w.letters, perm)
+        elapsed = time.perf_counter() - began
+        assert counts == crossings_by_copies(30, w.letters, 2310)
+        assert elapsed < 0.5
+
+
+def reducibles(rng: random.Random, n: int) -> BraidWord:
+    """A B_m word embedded in B_n around a random puncture interval and
+    conjugated by a short word."""
+    while True:
+        m = rng.randint(2, n - 1)
+        a = random_word(m, rng.randint(2, 6), rng.randrange(2**32))
+        if a.letters:
+            return embed_general(a, n, random_word(n, rng.randint(1, 3), rng.randrange(2**32)))
+
+
+def periodics(rng: random.Random, n: int) -> BraidWord:
+    """A nonzero power of sigma_1..sigma_{n-1} or of sigma_1..sigma_{n-1}
+    sigma_1, conjugated by a short word."""
+    root = tuple(range(1, n)) + rng.choice(((), (1,)))
+    k = rng.choice((-1, 1)) * rng.randint(1, n)
+    letters = root * k if k > 0 else tuple(-g for g in reversed(root)) * -k
+    c = random_word(n, rng.randint(1, 3), rng.randrange(2**32))
+    return concat(c, BraidWord(n, letters), invert_word(c))
+
+
+class TestLinkingSkipIsSound:
+    """classify passes over a (round curve, summit element) pair when the
+    crossing counts of the element's pure power rule out a tube around
+    the curve. For every pair that the test rules out, no power k <= n
+    may preserve the curve, and classify must return what the full scan
+    does."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("make", [penner, reducibles, periodics])
+    def test_ruled_out_pairs_have_no_hit(self, n, make):
+        rng = random.Random(100 * n + len(make.__name__))
+        ruled_out = 0
+        for _ in range(4):
+            w = make(rng, n)
+            sss = super_summit_set(w)
+            crossings = _crossings_of_power(n, w.letters, _permutation_of_key(n, sss.word_key))
+            tracks = {next(iter(sss.tree)): _permutation_of_key(n, sss.seed_track)}
+            for key in sss.keys:
+                track = _track_permutation(sss.tree, tracks, key)
+                assert track == _permutation_of_key(n, sss.conjugator_key(key))
+                powers = _powers(n, key, n)
+                for _, (i, j) in _round_curves(n):
+                    if _tube_ruled_out(crossings, track[i - 1 : j]):
+                        ruled_out += 1
+                        assert not any(_preserves_round_curve(n, x, i, j) for x in powers)
+            assert scanned(w) == full_scan(w)
+        if make is penner:
+            assert ruled_out

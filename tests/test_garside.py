@@ -373,12 +373,13 @@ class TestSuperSummitSet:
         takes 136: 12 conjugator products while driving w to the summit,
         2 to verify the seed's conjugator, 2 per edge for the other 61
         elements. Reading pairs adds 185: 61 conjugator products and 2
-        verification products per element. classify takes 232: 3 for the
-        powers in is_periodic, the set's 136, and powers up to 4 of one
-        element of each of the 31 pairs {x, tau(x)}, 3 products each; the
-        twin's powers are flips. The result is pseudo-Anosov, so no
-        witness conjugator is built. The closure expands one vertex of
-        each pair: 31 conjugate_batch calls, 61 conjugations."""
+        verification products per element. classify takes 193: 3 for the
+        powers in is_periodic, the set's 136, and powers up to 4 of the 18
+        elements that linking numbers and the Delta-orbit skip leave on
+        some round curve (14 on (1, 2), 4 on (2, 3)), 3 products each. The
+        result is pseudo-Anosov, so no witness conjugator is built. The
+        closure expands one vertex of each pair {x, tau(x)}: 31
+        conjugate_batch calls, 61 conjugations."""
         calls = []
         batches = []
         multiply = _kernel.multiply
@@ -402,7 +403,7 @@ class TestSuperSummitSet:
         assert len(calls) == 136 + 185
         calls.clear()
         assert classify(w).kind == "pseudo_anosov"
-        assert len(calls) == 232
+        assert len(calls) == 193
 
 
 def _minimal_simples(n, key, memo, kernel=_kernel):
