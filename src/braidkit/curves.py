@@ -15,11 +15,14 @@ An isotopy class of simple closed curves around punctures is modelled as
 the conjugacy class of an unoriented cyclic free-group word. That is
 exact arithmetic and serves the public predicates, image and
 preservation of curve classes, for any named curve. :func:`classify`
-needs only round curves, and tests them without free words: a simple
-element maps the round curve around punctures i..j to a round curve
-exactly when its permutation maps positions i..j onto an interval, and
-linking numbers rule most (curve, braid) pairs out before any power is
-taken. The free-group action re-checks only the witness it returns.
+needs only round curves, which it names by their spans (i, j), and
+tests them without free words: a simple element maps the round curve
+around punctures i..j to a round curve exactly when its permutation
+maps positions i..j onto an interval, and linking numbers rule most
+(curve, braid) pairs out before any power is taken. It reads each
+summit element's conjugator as a permutation from the summit set
+(SuperSummitSet.conjugator_permutation), and builds a curve class and
+runs the free-group action only for the witness it returns.
 
 Free-group letters are signed 1-based generator indices (``-i`` is
 ``x_i^-1``). Canonical forms order letters by ``(index, sign)`` with the
@@ -30,13 +33,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Iterator
 
 from .garside import (
     DEFAULT_SSS_LIMIT,
     ResourceLimitError,
     _check_cap,
     _flip_key,
-    _inv_flat,
     _nf_of_word,
     _permutation_of_key,
     _powers,
@@ -290,28 +293,9 @@ class ClassificationResult:
     conjugator: BraidWord | None = None
 
 
-def _round_curves(n: int) -> list[tuple[CurveClass, tuple[int, int]]]:
-    return [
-        (curve_class_round(i, j, n), (i, j))
-        for i in range(1, n)
-        for j in range(i + 1, n + 1)
-        if j - i + 1 <= n - 1
-    ]
-
-
-def _puncture_orbit_period(perm: bytes, mask: bytes) -> int | None:
-    """Smallest k <= n with perm^k fixing a puncture set, else None.
-
-    ``perm`` holds 0-based images and ``mask`` has a 1 at each 0-based
-    puncture of the set. Translating perm by a mask gives the mask of the
-    set's preimage, and perm^-k fixes a set exactly when perm^k does.
-    """
-    current = mask
-    for k in range(1, len(perm) + 1):
-        current = perm.translate(current.ljust(256, b"\0"))
-        if current == mask:
-            return k
-    return None
+def _round_curves(n: int) -> Iterator[tuple[int, int]]:
+    """The spans (i, j) of the round curves of B_n, ordered by (i, j)."""
+    return ((i, j) for i in range(1, n) for j in range(i + 1, n + 1) if j - i + 1 <= n - 1)
 
 
 def _preserves_round_curve(n: int, key: tuple[int, bytes], i: int, j: int) -> bool:
@@ -390,22 +374,6 @@ def _tube_ruled_out(crossings: list[list[int]], inside: bytes) -> bool:
     return any(len({row[a] for a in inside}) > 1 for o, row in enumerate(crossings) if o not in inside)
 
 
-def _track_permutation(tree: dict, tracks: dict[tuple[int, bytes], bytes], key: tuple[int, bytes]) -> bytes:
-    """The permutation of a summit element's conjugator, as 0-based
-    images, filled into ``tracks`` along the closure-tree path from the
-    nearest element already there. An element reached by the edge
-    (parent, s) has the conjugator s^-1 times its parent's."""
-    path = []
-    while key not in tracks:
-        parent, s = tree[key]
-        path.append((key, s))
-        key = parent
-    perm = tracks[key]
-    for key, s in reversed(path):
-        perm = tracks[key] = _inv_flat(s).translate(perm.ljust(256, b"\0"))
-    return perm
-
-
 def classify(
     w: BraidWord,
     max_sss: int = DEFAULT_SSS_LIMIT,
@@ -420,15 +388,19 @@ def classify(
     elements in canonical summit order, powers ascending) and the first
     hit is the witness, re-verified through the raw free-group action
     before returning. Preservation is decided by the factor walk of
-    :func:`_preserves_round_curve`, which builds no free words.
+    :func:`_preserves_round_curve`, which is exact and builds no free
+    words.
 
-    Three tests pass over (curve, element) pairs before any power of the
-    element is computed, flipped or walked. Each passes over only triples
-    without a hit, so the first hit, and with it the witness, its power
-    and its conjugator, is that of the full scan:
+    Two tests pass over triples before any power is computed, flipped or
+    walked. Each passes over only triples without a hit, so the first
+    hit, and with it the witness, its power and its conjugator, is that
+    of the full scan:
 
-    - Punctures. A power k is tried only when the element's permutation,
-      read off its key, fixes the curve's punctures at power k.
+    - Delta-orbits. The flip tau(x) = Delta^-1 x Delta maps the round
+      curve i..j to (n+1-j)..(n+1-i), tau(x)^k = tau(x^k), and the summit
+      set is closed under tau, so x^k preserves C exactly when tau(x)^k
+      preserves tau(C). A curve whose flip came earlier is skipped, as
+      the flip had no hit.
     - Linking numbers. Let m be the order of w's permutation. An element
       y = c w c^-1, c its conjugator, has the pure power y^m = c w^m c^-1,
       whose strands starting at a and b cross as often as those of w^m
@@ -438,22 +410,24 @@ def classify(
       each of them equally often; crossing counts of pure braids add
       under products, so y^m would show the same. When some strand
       outside does not, no power of y preserves the curve. w^m's counts
-      are read once per call (:func:`_crossings_of_power`); c's
-      permutation is the seed track's, extended by one translate per
-      tree edge along the paths the scan reaches.
-    - Delta-orbits. The flip tau(x) = Delta^-1 x Delta maps the round
-      curve i..j to (n+1-j)..(n+1-i), tau(x)^k = tau(x^k), and the summit
-      set is closed under tau, so x^k preserves C exactly when tau(x)^k
-      preserves tau(C). A curve whose flip came earlier is skipped, as
-      the flip had no hit; on a curve equal to its flip, x is skipped
-      when tau(x) comes earlier, as a hit at x^k is one at tau(x)^k,
-      found first.
+      are read once per call (:func:`_crossings_of_power`), c's
+      permutation off the closure tree
+      (SuperSummitSet.conjugator_permutation).
+
+    Every power k <= n of an element that passes is walked. A power
+    whose permutation does not map the curve's punctures onto themselves
+    fails the walk's last check, so testing only multiples of the
+    punctures' period would find the same first hit. On a curve equal
+    to its flip, a hit at x^k is one at tau(x)^k, so an element whose
+    flip came earlier has no hit there either, and walking it costs no
+    product: its powers are the flips of its twin's.
 
     Each element's powers are keys, computed once when first needed: as
     products, or as the flips of its twin's. super_summit_set verified
     every element conjugate to w by its closure edge; only the witness's
-    conjugator is built, along the closure tree, and re-verified end to
-    end (SuperSummitSet.conjugator_key).
+    curve class and conjugator are built, the conjugator along the
+    closure tree and re-verified end to end
+    (SuperSummitSet.conjugator_key).
 
     Raises ValueError if ``max_sss`` < 1, ResourceLimitError if the summit
     set outgrows it. ``max_letters`` only guards the witness re-check.
@@ -465,30 +439,20 @@ def classify(
     if is_periodic(w):
         return ClassificationResult("periodic")
     sss = super_summit_set(w, max_size=max_sss)
-    perms = [_permutation_of_key(n, key) for key in sss.keys]
     crossings = _crossings_of_power(n, w.letters, _permutation_of_key(n, sss.word_key))
-    # The closure tree lists its seed first.
-    tracks = {next(iter(sss.tree)): _permutation_of_key(n, sss.seed_track)}
-    twins: dict[tuple[int, bytes], tuple[int, bytes]] = {}
     powers: dict[tuple[int, bytes], list[tuple[int, bytes]]] = {}
-    for curve, (i, j) in _round_curves(n):
+    for i, j in _round_curves(n):
         if i + j > n + 1:
             continue
-        mask = bytes(i <= v <= j for v in range(1, n + 1))
-        for key, perm in zip(sss.keys, perms):
-            period = _puncture_orbit_period(perm, mask)
-            if period is None:
-                continue
-            if _tube_ruled_out(crossings, _track_permutation(sss.tree, tracks, key)[i - 1 : j]):
-                continue
-            twin = twins[key] = twins.get(key) or _flip_key(n, key)
-            if i + j == n + 1 and twin < key:
+        for key in sss.keys:
+            if _tube_ruled_out(crossings, sss.conjugator_permutation(key)[i - 1 : j]):
                 continue
             if key not in powers:
-                flipped = powers.get(twin)
+                flipped = powers.get(_flip_key(n, key))
                 powers[key] = [_flip_key(n, x) for x in flipped] if flipped else _powers(n, key, n)
-            for k in range(period, n + 1, period):
-                if _preserves_round_curve(n, powers[key][k - 1], i, j):
+            for k, x in enumerate(powers[key], 1):
+                if _preserves_round_curve(n, x, i, j):
+                    curve = curve_class_round(i, j, n)
                     witness_word = BraidWord(n, _word_of_key(n, key) * k)
                     if not preserves_curve_class(witness_word, curve, max_letters=max_letters):
                         raise RuntimeError("internal error: witness failed re-verification")

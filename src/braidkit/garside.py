@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import deque
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import _kernel
 from ._native import _complement, _inverse, _tau_flat
@@ -252,46 +252,57 @@ class SuperSummitSet:
     view over normal-form keys.
 
     ``keys`` lists the elements in canonical order (delta power, factor
-    count, lexicographic factor images). ``tree`` maps each
-    element, in the breadth-first order of the summit closure, to the edge
-    that reached it: ``(parent, s)`` with ``s^-1 * parent * s`` equal to
-    the element, or ``(None, None)`` for the seed, whose conjugator
+    count, lexicographic factor images). ``seed`` is the element that
+    cycling and decycling reached from w, and its conjugator
     ``seed_track`` satisfies ``seed_track * w * seed_track^-1 = seed``.
-    super_summit_set verifies the seed's track and every edge before
-    returning, so every element is conjugate to w; ``word_key`` is w's key.
+    ``tree`` maps each element, in the breadth-first order of the summit
+    closure, to the edge that reached it: ``(parent, s)`` with
+    ``s^-1 * parent * s`` equal to the element, or ``(None, None)`` for
+    the seed. An element's conjugator is s^-1 times its parent's, so
+    every value below is read along the tree path from the seed
+    (_along_tree). super_summit_set verifies the seed's track and every
+    edge before returning, so every element is conjugate to w;
+    ``word_key`` is w's key.
 
-    ``len()`` and ``keys`` build no conjugator. ``pairs``, ``conjugators``
-    and ``elements`` are built on first read; ``pairs`` and
-    ``conjugator_key`` re-verify each conjugator c they build against w,
-    ``c * w * c^-1 = element``, and raise RuntimeError if one fails.
+    ``len()`` and ``keys`` build no conjugator, and neither does
+    ``conjugator_permutation(key)``, the permutation of one element's
+    conjugator, one translate per edge, each kept for later reads.
+    ``pairs``, ``conjugators`` and ``elements`` are built on first read;
+    ``pairs`` and ``conjugator_key`` re-verify each conjugator c they
+    build against w, ``c * w * c^-1 = element``, and raise RuntimeError
+    if one fails.
     """
 
     strands: int
     word_key: _NfKey
+    seed: _NfKey
     seed_track: _NfKey
     keys: tuple[_NfKey, ...]
     tree: _Tree = dataclasses.field(hash=False)
 
+    def _track(self, tracks: dict[_NfKey, _NfKey], key: _NfKey) -> _NfKey:
+        track = _along_tree(self.tree, tracks, key, functools.partial(_edge_track, self.strands))
+        _verify_track(self.strands, self.word_key, key, track)
+        return track
+
     def conjugator_key(self, key: _NfKey) -> _NfKey:
         """The conjugator of one element, built along its tree path and
         verified end to end."""
-        track = _tree_track(self.strands, self.tree, key, self.seed_track)
-        _verify_track(self.strands, self.word_key, key, track)
-        return track
+        return self._track({self.seed: self.seed_track}, key)
+
+    def conjugator_permutation(self, key: _NfKey) -> bytes:
+        """The permutation of an element's conjugator, as 0-based images."""
+        return _along_tree(self.tree, self._permutations, key, _edge_permutation)
+
+    @functools.cached_property
+    def _permutations(self) -> dict[_NfKey, bytes]:
+        return {self.seed: _permutation_of_key(self.strands, self.seed_track)}
 
     @functools.cached_property
     def pairs(self) -> tuple[_KeyPair, ...]:
         """(element, conjugator) key pairs in canonical order."""
-        n = self.strands
-        tracks: dict[_NfKey, _NfKey] = {}
-        for key, (parent, s) in self.tree.items():
-            if parent is None:
-                tracks[key] = self.seed_track
-            else:
-                tracks[key] = _mul(n, _inv(n, (0, s)), tracks[parent])
-        for key in self.keys:
-            _verify_track(n, self.word_key, key, tracks[key])
-        return tuple((key, tracks[key]) for key in self.keys)
+        tracks = {self.seed: self.seed_track}
+        return tuple((key, self._track(tracks, key)) for key in self.keys)
 
     @functools.cached_property
     def conjugators(self) -> dict[NormalForm, BraidWord]:
@@ -501,43 +512,37 @@ def cycling(x: NormalForm, direction: str = "front") -> tuple[NormalForm, BraidW
 def _drive_to_summit(n: int, key: _NfKey) -> _KeyPair:
     """Cycle until inf stops rising, then decycle until sup stops falling.
 
-    Stop rule: n(n-1)/2 consecutive steps without improvement declare the
-    current value extremal. A move is deterministic, so a key that recurs
-    since the last improvement closes an orbit that cannot improve, and
-    stops the move at once. Both moves are conjugations; ``track``, from
-    the identity on, keeps track * w * track^-1 equal to the current key.
+    Each phase is a step, a score to lower (-inf, then sup) and the
+    conjugator of a step's simple element u: cycling conjugates by u^-1,
+    decycling by u. Stop rule: n(n-1)/2 consecutive steps without
+    improvement declare the current value extremal. A step is
+    deterministic, so a key that recurs since the last improvement closes
+    an orbit that cannot improve, and ends the phase at once. ``track``,
+    from the identity on, keeps track * w * track^-1 equal to the current
+    key.
     """
     track: _NfKey = (0, b"")
     bound = max(1, n * (n - 1) // 2)
-    fails = 0
-    orbit = {key}
-    while key[1] and fails < bound:
-        old_inf = key[0]
-        key, u = _cycle_key(n, key)
-        track = _mul(n, _inv(n, (0, u)), track)
-        if key[0] > old_inf:
-            fails = 0
-            orbit.clear()
-        elif key in orbit:
-            break
-        else:
-            fails += 1
-        orbit.add(key)
-    fails = 0
-    orbit = {key}
-    while key[1] and fails < bound:
-        old_sup = key[0] + len(key[1])
-        key, u = _decycle_key(n, key)
+    phases = (
+        (_cycle_key, lambda x: -x[0], lambda u: _inv(n, (0, u))),
         # A canonical factor is its own normal form.
-        track = _mul(n, (0, u), track)
-        if key[0] + len(key[1]) < old_sup:
-            fails = 0
-            orbit.clear()
-        elif key in orbit:
-            break
-        else:
-            fails += 1
-        orbit.add(key)
+        (_decycle_key, lambda x: x[0] + len(x[1]), lambda u: (0, u)),
+    )
+    for step, score, conjugator in phases:
+        fails = 0
+        orbit = {key}
+        while key[1] and fails < bound:
+            old = score(key)
+            key, u = step(n, key)
+            track = _mul(n, conjugator(u), track)
+            if score(key) < old:
+                fails = 0
+                orbit.clear()
+            elif key in orbit:
+                break
+            else:
+                fails += 1
+            orbit.add(key)
     return key, track
 
 
@@ -620,17 +625,28 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
         raise RuntimeError("internal error: the summit set is not closed under tau")
 
 
-def _tree_track(n: int, tree: _Tree, key: _NfKey, track: _NfKey) -> _NfKey:
-    """Extend ``track``, the seed's conjugator, by s^-1 for each edge on
-    the tree path from the seed to ``key``."""
-    steps = []
-    parent, s = tree[key]
-    while parent is not None:
-        steps.append(s)
-        parent, s = tree[parent]
-    for s in reversed(steps):
-        track = _mul(n, _inv(n, (0, s)), track)
-    return track
+def _along_tree(tree: _Tree, known: dict, key: _NfKey, step: Callable):
+    """The value at ``key``, filled into ``known`` along the tree path
+    from the nearest element already there: an element reached by the
+    edge (parent, s) takes ``step(s, value at parent)``. This is the one
+    walk over closure edges."""
+    path = []
+    while key not in known:
+        parent, s = tree[key]
+        path.append((key, s))
+        key = parent
+    value = known[key]
+    for key, s in reversed(path):
+        value = known[key] = step(s, value)
+    return value
+
+
+def _edge_track(n: int, s: bytes, track: _NfKey) -> _NfKey:
+    return _mul(n, _inv(n, (0, s)), track)
+
+
+def _edge_permutation(s: bytes, perm: bytes) -> bytes:
+    return _inv_flat(s).translate(perm.ljust(256, b"\0"))
 
 
 def _verify_track(n: int, w_key: _NfKey, key: _NfKey, track: _NfKey) -> None:
@@ -668,7 +684,7 @@ def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSu
                 raise RuntimeError("internal error: a summit edge failed verification")
         tree[key] = (parent, s)
     keys = tuple(sorted(tree, key=lambda key: (key[0], len(key[1]), key[1])))
-    return SuperSummitSet(n, w_key, seed_track, keys, tree)
+    return SuperSummitSet(n, w_key, seed, seed_track, keys, tree)
 
 
 def are_conjugate(
@@ -703,7 +719,7 @@ def are_conjugate(
             break
     else:
         return None
-    found = _tree_track(n, tree, b_summit, a_track)
+    found = _along_tree(tree, {a_summit: a_track}, b_summit, functools.partial(_edge_track, n))
     certificate = ConjugacyCertificate(n, _mul(n, _inv(n, b_track), found))
     if not certificate.verifies(a, b):
         raise RuntimeError("internal error: conjugacy certificate failed verification")

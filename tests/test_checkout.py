@@ -1,5 +1,5 @@
 """The checkout itself: git tracks no file that .gitignore excludes, and CI
-runs the Tier-1 command."""
+runs the Tier-1 command and the benchmark's self-test."""
 
 from __future__ import annotations
 
@@ -36,3 +36,11 @@ def test_ci_runs_the_tier1_command():
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert f"run: {command}\n" in workflow
+
+
+def test_ci_runs_the_benchmark_self_test():
+    """The CI workflow runs perfbench/selftest.py, which fails when a
+    traced layer count changes between two runs or a workload's gate
+    fails."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert "run: python3 perfbench/selftest.py\n" in workflow

@@ -16,7 +16,6 @@ from braidkit import (
     BraidWord,
     CurveClass,
     FreeWord,
-    Permutation,
     ResourceLimitError,
     artin_action,
     classify,
@@ -42,9 +41,7 @@ from braidkit.curves import (
     _cyclic_reduce,
     _least_rotation,
     _preserves_round_curve,
-    _puncture_orbit_period,
     _round_curves,
-    _track_permutation,
     _tube_ruled_out,
 )
 from braidkit.garside import _flip_key, _permutation_of_key, _powers, _simple_letters, _word_of_key
@@ -298,33 +295,35 @@ def set_period(perm, punctures: set[int], n: int) -> int | None:
 
 
 def full_scan(w: BraidWord, spans=None):
-    """classify's reducibility scan without its Delta-orbit skips, as a
-    reference: every round curve (or those of ``spans``), every summit
-    element and every power whose Permutation-set period allows it, each
-    element's powers as plain products. Returns (kind, span, power,
-    conjugator letters)."""
+    """classify's reducibility scan without its Delta-orbit and linking
+    skips, as a reference: every round curve (or those of ``spans``),
+    every summit element and every power whose Permutation-set period
+    allows it, each element's powers as plain products. Returns (kind,
+    span, power, conjugator letters)."""
     n = w.strands
     if is_periodic(w):
         return "periodic", None, None, None
+    if spans is None:
+        spans = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1) if j - i + 1 <= n - 1]
     sss = super_summit_set(w)
-    for curve, (i, j) in _round_curves(n):
-        if spans is not None and (i, j) not in spans:
-            continue
+    perms = {key: permutation_of_word(BraidWord(n, _word_of_key(n, key))) for key in sss.keys}
+    powers = {}
+    for i, j in spans:
         for key in sss.keys:
-            perm = permutation_of_word(BraidWord(n, _word_of_key(n, key)))
-            period = set_period(perm, set(range(i, j + 1)), n)
+            period = set_period(perms[key], set(range(i, j + 1)), n)
             if period is None:
                 continue
-            powers = _powers(n, key, n)
+            if key not in powers:
+                powers[key] = _powers(n, key, n)
             for k in range(period, n + 1, period):
-                if _preserves_round_curve(n, powers[k - 1], i, j):
+                if _preserves_round_curve(n, powers[key][k - 1], i, j):
                     return "reducible", (i, j), k, _word_of_key(n, sss.conjugator_key(key))
     return "pseudo_anosov", None, None, None
 
 
-def scanned(w: BraidWord):
+def scanned(w: BraidWord, **options):
     """What classify returns, in the form of full_scan."""
-    r = classify(w)
+    r = classify(w, **options)
     if r.kind != "reducible":
         return r.kind, None, None, None
     return r.kind, round_span(r.curve), r.power, r.conjugator.letters
@@ -380,29 +379,12 @@ def shift(n: int, src: tuple[int, int], dst: tuple[int, int]) -> bytes:
     return bytes(images)
 
 
-class TestPuncturePeriod:
-    def test_mask_period_matches_the_set_period(self):
-        """The byte-mask orbit period of classify equals the period of the
-        puncture set under Permutation images, on random permutations and
-        every puncture interval, the degenerate ones included."""
-        rng = random.Random(11)
-        for _ in range(300):
-            n = rng.randint(2, 8)
-            images = list(range(1, n + 1))
-            rng.shuffle(images)
-            perm = Permutation(n, tuple(images))
-            flat = bytes(v - 1 for v in images)
-            for i in range(1, n + 1):
-                for j in range(i, n + 1):
-                    mask = bytes(i <= v <= j for v in range(1, n + 1))
-                    expected = set_period(perm, set(range(i, j + 1)), n)
-                    assert _puncture_orbit_period(flat, mask) == expected
-
-
 class TestClassifyScanIsExact:
-    """classify skips each round curve whose flip came earlier and, on a
-    curve equal to its flip, each summit element whose flip came earlier;
-    its verdict, witness and conjugator must be those of the full scan."""
+    """classify skips each round curve whose flip came earlier and each
+    (curve, element) pair that linking numbers rule out, and walks every
+    power up to n; its verdict, witness and conjugator must be those of
+    the full scan, which walks only the powers that return the curve's
+    punctures."""
 
     def test_penner_pseudo_anosov(self):
         rng = random.Random(5)
@@ -433,8 +415,38 @@ class TestClassifyScanIsExact:
         assert any(_flip_key(4, key) == key for key in super_summit_set(w).keys)
         assert scanned(w) == full_scan(w)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_penner_and_embedded_words_in_b5_and_b6(self, n):
+        """Beyond B_4 a permutation can have order above 4, so a curve's
+        punctures can take up to n powers to return, or in B_5 never
+        return (a 2-cycle with a 3-cycle has order 6); classify walks
+        every power while the full scan walks only multiples of the
+        period. Words with summit sets over 600 elements are passed
+        over to keep the test short."""
+        rng = random.Random(40 + n)
+        checked = 0
+        while checked < 10:
+            w = (penner, reducibles)[checked % 2](rng, n)
+            try:
+                got = scanned(w, max_sss=600)
+            except ResourceLimitError:
+                continue
+            assert got == full_scan(w)
+            checked += 1
+
+    @pytest.mark.parametrize("twist", [(1, 2), (-1, -2)])
+    def test_a_first_hit_at_power_n(self, twist):
+        """Two tubes of three punctures swapped, with a rotation of one
+        of them: the square rotates each tube, so of the powers up to 6
+        only the sixth maps the round curve (1, 2), inside a tube, to
+        itself, and the scan must walk powers up to n."""
+        swap = (3, 2, 4, 1, 3, 5, 2, 4, 3)
+        w = BraidWord(6, swap + twist)
+        assert scanned(w)[:3] == ("reducible", (1, 2), 6)
+        assert scanned(w) == full_scan(w)
+
     @pytest.mark.parametrize(
-        "letters, skipped_before, witness_fixed",
+        "letters, repeated_before, witness_fixed",
         [
             ((2, 2, 2), 0, True),
             ((1, 2, 3, 2, 1, 2, 2), 0, True),
@@ -444,26 +456,29 @@ class TestClassifyScanIsExact:
             ((-1, 1, 3, 2, 2, 3, -2), 4, False),
         ],
     )
-    def test_on_the_self_flip_curve(self, monkeypatch, letters, skipped_before, witness_fixed):
+    def test_on_the_self_flip_curve(self, monkeypatch, letters, repeated_before, witness_fixed):
         """Both scans restricted to (2, 3), the round curve of B_4 equal
         to its flip. No B_4 word was found whose first hit lies there
         (each had one on (1, 2) or (1, 3) first), so only the restriction
-        makes the element skip choose the witness."""
+        puts the witness there. ``repeated_before`` counts the elements
+        before the witness that follow their flip and whose punctures can
+        return: classify tests them on (2, 3) after their twin had no hit
+        there."""
         real = curves._round_curves
-        monkeypatch.setattr(curves, "_round_curves", lambda n: [c for c in real(n) if c[1] == (2, 3)])
+        monkeypatch.setattr(curves, "_round_curves", lambda n: [span for span in real(n) if span == (2, 3)])
         w = BraidWord(4, letters)
         expected = full_scan(w, spans=[(2, 3)])
         assert expected[:2] == ("reducible", (2, 3))
         assert scanned(w) == expected
         sss = super_summit_set(w)
         witness = next(k for k in sss.keys if _word_of_key(4, sss.conjugator_key(k)) == expected[3])
-        mask = bytes((0, 1, 1, 0))
-        skipped = [
+        repeated = [
             key
             for key in sss.keys[: sss.keys.index(witness)]
-            if _flip_key(4, key) < key and _puncture_orbit_period(_permutation_of_key(4, key), mask)
+            if _flip_key(4, key) < key
+            and set_period(permutation_of_word(BraidWord(4, _word_of_key(4, key))), {2, 3}, 4)
         ]
-        assert len(skipped) == skipped_before
+        assert len(repeated) == repeated_before
         assert (_flip_key(4, witness) == witness) == witness_fixed
 
 
@@ -480,8 +495,8 @@ class TestRoundImages:
         for images in itertools.permutations(range(n)):
             s = bytes(images)
             word = BraidWord(n, _simple_letters(n, s))
-            for curve, (i, j) in _round_curves(n):
-                image = round_span(image_curve_class(word, curve))
+            for i, j in _round_curves(n):
+                image = round_span(image_curve_class(word, curve_class_round(i, j, n)))
                 for a in range(1, n + 1 - (j - i)):
                     d = (a, a + j - i)
                     assert _preserves_round_curve(n, (0, s + shift(n, d, (i, j))), i, j) == (image == d)
@@ -553,12 +568,11 @@ class TestLinkingSkipIsSound:
             w = make(rng, n)
             sss = super_summit_set(w)
             crossings = _crossings_of_power(n, w.letters, _permutation_of_key(n, sss.word_key))
-            tracks = {next(iter(sss.tree)): _permutation_of_key(n, sss.seed_track)}
             for key in sss.keys:
-                track = _track_permutation(sss.tree, tracks, key)
+                track = sss.conjugator_permutation(key)
                 assert track == _permutation_of_key(n, sss.conjugator_key(key))
                 powers = _powers(n, key, n)
-                for _, (i, j) in _round_curves(n):
+                for i, j in _round_curves(n):
                     if _tube_ruled_out(crossings, track[i - 1 : j]):
                         ruled_out += 1
                         assert not any(_preserves_round_curve(n, x, i, j) for x in powers)

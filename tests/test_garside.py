@@ -374,10 +374,11 @@ class TestSuperSummitSet:
         2 to verify the seed's conjugator, 2 per edge for the other 61
         elements. Reading pairs adds 185: 61 conjugator products and 2
         verification products per element. classify takes 193: 3 for the
-        powers in is_periodic, the set's 136, and powers up to 4 of the 18
-        elements that linking numbers and the Delta-orbit skip leave on
-        some round curve (14 on (1, 2), 4 on (2, 3)), 3 products each. The
-        result is pseudo-Anosov, so no witness conjugator is built. The
+        powers in is_periodic, the set's 136, and powers up to 4 of 18
+        elements, 3 products each: the 14 that linking numbers leave on
+        (1, 2), and 4 of the 8 they leave on (2, 3), whose other 4 flip
+        their twins' powers. The result is pseudo-Anosov, so no witness
+        conjugator is built. The
         closure expands one vertex of each pair {x, tau(x)}: 31
         conjugate_batch calls, 61 conjugations."""
         calls = []
