@@ -5,27 +5,22 @@ The kernel is four functions on normal-form keys: ``normalize``,
 summit walk's step from a vertex to the simple elements that it is
 conjugated by, which takes only the vertex and derives its inverse
 itself. Each function has one arity, the same in both twins. The
-hand-written C kernels in ``braidkit._speedups`` are preferred when the
-extension built; otherwise the pure-Python twins in
+hand-written C kernels in ``braidkit._speedups`` are used when the
+extension imports; otherwise the pure-Python twins in
 ``braidkit._native``, which run the same algorithm, take over
-transparently. Set ``BRAIDKIT_PURE=1`` in the environment to force the
-pure backend. The backend-selection tests set it; the parity tests
-compile the C file and compare both backends directly.
+transparently. Deleting the built ``.so`` is the way back to pure
+Python. The parity tests compile the C file and compare both backends
+directly.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _native
 
-if os.environ.get("BRAIDKIT_PURE"):
+try:
+    from . import _speedups as _impl
+except ImportError:
     _impl = _native
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _native
 
 normalize = _impl.normalize
 multiply = _impl.multiply

@@ -64,7 +64,8 @@ def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, byte
     rescan from 0. Then the rows are trimmed at both ends.
     """
     if n == 1:
-        # B_1 is trivial and Delta is the identity, so everything collapses.
+        # B_1 is trivial and Delta is the identity, so every key collapses;
+        # multiply and conjugate_batch rely on this too.
         return 0, b""
     buf = bytearray(flat)
     inv = bytearray(n)
@@ -137,8 +138,6 @@ def multiply(n: int, p1: int, flat1: bytes, p2: int, flat2: bytes) -> tuple[int,
     first factor of flat2. A left operand that is not left-weighted gives
     a wrong result.
     """
-    if n == 1:
-        return 0, b""
     first = _tau_flat(n, flat1) if p2 % 2 else flat1
     return _left_weight(n, p1 + p2, first + flat2, len(flat1) // n)
 
@@ -179,8 +178,6 @@ def conjugate_batch(
     """Normal forms of s^-1 * (Delta^p * flat) * s for each simple element
     s of ``simples``, in order: Delta^(p-1) * tau^p(Delta s^-1) * flat * s.
     """
-    if n == 1:
-        return [(0, b"")] * len(simples)
     return [_left_weight(n, p - 1, _complement(n, s, p % 2) + flat + s, 1) for s in simples]
 
 

@@ -374,11 +374,7 @@ def _tube_ruled_out(crossings: list[list[int]], inside: bytes) -> bool:
     return any(len({row[a] for a in inside}) > 1 for o, row in enumerate(crossings) if o not in inside)
 
 
-def classify(
-    w: BraidWord,
-    max_sss: int = DEFAULT_SSS_LIMIT,
-    max_letters: int = DEFAULT_IMAGE_LIMIT,
-) -> ClassificationResult:
+def classify(w: BraidWord, max_sss: int = DEFAULT_SSS_LIMIT) -> ClassificationResult:
     """Nielsen-Thurston type of a braid: periodic, reducible, or
     pseudo-Anosov (by elimination).
 
@@ -430,7 +426,8 @@ def classify(
     (SuperSummitSet.conjugator_key).
 
     Raises ValueError if ``max_sss`` < 1, ResourceLimitError if the summit
-    set outgrows it. ``max_letters`` only guards the witness re-check.
+    set outgrows it. The witness re-check stops at DEFAULT_IMAGE_LIMIT
+    letters.
     """
     _check_cap(max_sss)
     n = w.strands
@@ -454,7 +451,7 @@ def classify(
                 if _preserves_round_curve(n, x, i, j):
                     curve = curve_class_round(i, j, n)
                     witness_word = BraidWord(n, _word_of_key(n, key) * k)
-                    if not preserves_curve_class(witness_word, curve, max_letters=max_letters):
+                    if not preserves_curve_class(witness_word, curve, DEFAULT_IMAGE_LIMIT):
                         raise RuntimeError("internal error: witness failed re-verification")
                     conjugator = BraidWord(n, _word_of_key(n, sss.conjugator_key(key)))
                     return ClassificationResult("reducible", curve, k, conjugator)

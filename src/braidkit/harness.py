@@ -40,11 +40,12 @@ tallies boundary_passes, torsion_checked and torsion_passes.
 
 Every output format of a suite (text, records, JSON) is rendered from
 one dict in the shape of the JSON document, which each renderer builds
-once with the summary's ``document()``. It holds the decision times;
-records and JSON leave them out unless asked, so identical flags
-reproduce identical bytes. Neither the dict nor the tallies are cached:
-a summary kept after rendering holds only its configuration and
-reports.
+once with the summary's ``document()``. Its words and certificates stay
+objects until render_json spells them, as no other format prints them.
+It holds the decision times; records and JSON leave them out unless
+asked, so identical flags reproduce identical bytes. Neither the dict
+nor the tallies are cached: a summary kept after rendering holds only
+its configuration and reports.
 """
 
 from __future__ import annotations
@@ -452,26 +453,32 @@ _TIMES = ("time_m_us", "time_n_us")
 
 
 def _trial_document(r: TrialReport) -> dict:
-    conjugator_m = format_word(r.certificate_m.conjugator) if r.certificate_m else None
+    """One trial of the document; render_json spells its words and
+    certificates with :func:`_spell`."""
     return {
         "trial": r.trial,
         "mode": r.mode,
-        "a": format_word(r.a),
-        "b": format_word(r.b),
+        "a": r.a,
+        "b": r.b,
         "verdict_m": r.verdict_m,
         "verdict_n": r.verdict_n,
         "verdict_general": r.verdict_general,
         "consistent": r.consistent,
         "skipped": r.skipped,
         "skip_reason": r.skip_reason,
-        "conjugator_m": conjugator_m,
-        "conjugator_n": format_word(r.certificate_n.conjugator) if r.certificate_n else None,
+        "conjugator_m": r.certificate_m,
+        "conjugator_n": r.certificate_n,
         # TrialReport.lifted_witness: the B_m conjugator, when verdict_n holds.
-        "lifted_witness": conjugator_m if r.verdict_n else None,
+        "lifted_witness": r.certificate_m if r.verdict_n else None,
         "theorem_violation": r.theorem_violation,
         "time_m_us": r.time_m_us,
         "time_n_us": r.time_n_us,
     }
+
+
+def _spell(value: BraidWord | ConjugacyCertificate) -> str:
+    """A word, or a certificate's conjugator, in the text format."""
+    return format_word(value.conjugator if isinstance(value, ConjugacyCertificate) else value)
 
 
 def _tristate(value: bool | None) -> str:
@@ -514,7 +521,7 @@ def render_json(summary: VerifySummary, include_times: bool = False) -> str:
     if not include_times:
         trials = [{k: v for k, v in t.items() if k not in _TIMES} for t in document["trials"]]
         document = {**document, "trials": trials}
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return json.dumps(document, sort_keys=True, indent=2, default=_spell) + "\n"
 
 
 def render_text(summary: VerifySummary) -> str:

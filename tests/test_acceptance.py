@@ -33,7 +33,7 @@ from braidkit import (
     round_span,
     verify_nonmerging,
 )
-from braidkit.garside import _nf_of_word
+from braidkit.garside import _mul, _nf_of_word
 from braidkit.harness import render_json, render_records
 from braidkit.words import random_letters
 
@@ -151,8 +151,23 @@ def test_criterion_4_brute_force_conjugacy_cross_check():
 
     generators = (1, -1, 2, -2)
     keys = {w: _nf_of_word(w) for w in words}
+    letter_keys = [
+        (_nf_of_word(BraidWord(3, (g,))), _nf_of_word(BraidWord(3, (-g,)))) for g in generators
+    ]
 
     def bounded_conjugates(a: BraidWord) -> set:
+        """Keys of c a c^-1 over all conjugators c of at most 6 letters,
+        breadth first: g c' conjugates a to g (c' a c'^-1) g^-1, so each
+        level conjugates the previous level's new keys by one letter."""
+        reachable = frontier = {keys[a]}
+        for _ in range(6):
+            frontier = {_mul(3, _mul(3, g, y), g_inv) for y in frontier for g, g_inv in letter_keys}
+            frontier -= reachable
+            reachable = reachable | frontier
+        return reachable
+
+    def enumerated_conjugates(a: BraidWord) -> set:
+        """The same set, from each of the 5,461 words of length <= 6."""
         reachable = set()
         for length in range(7):
             for letters in itertools.product(generators, repeat=length):
@@ -161,6 +176,8 @@ def test_criterion_4_brute_force_conjugacy_cross_check():
         return reachable
 
     conjugate_sets = {w: bounded_conjugates(w) for w in words}
+    for a in (BraidWord(3, (1,)), BraidWord(3, (1, 2, 1))):
+        assert conjugate_sets[a] == enumerated_conjugates(a)
     agreements = 0
     for a in words:
         for b in words:

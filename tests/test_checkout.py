@@ -1,5 +1,6 @@
 """The checkout itself: git tracks no file that .gitignore excludes, and CI
-runs the Tier-1 command and the benchmark's self-test."""
+runs the Tier-1 command, the benchmark's self-test and the setup.py
+build of the C backend."""
 
 from __future__ import annotations
 
@@ -44,3 +45,14 @@ def test_ci_runs_the_benchmark_self_test():
     fails."""
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert "run: python3 perfbench/selftest.py\n" in workflow
+
+
+def test_ci_builds_the_extension_with_setup_py():
+    """The CI workflow's last step builds the extension in place with
+    setup.py, after the clean-checkout check, and asserts that braidkit
+    then runs on the C backend."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    build = "          python setup.py build_ext --inplace\n"
+    check = """          PYTHONPATH=src python -c 'import braidkit; assert braidkit.backend_name() == "c"'\n"""
+    assert workflow.endswith(build + check)
+    assert workflow.index("git status --porcelain") < workflow.index(build)

@@ -535,17 +535,25 @@ class TestArity:
 
 
 class TestBackendSelection:
+    """The backend is chosen by what is installed: the C twin when the
+    built module imports, the pure-Python twin otherwise."""
+
     SNIPPET = (
         "import braidkit; "
         "print(braidkit.backend_name()); "
         "print(braidkit.normal_form(braidkit.BraidWord(3, (1, 2, 1, 2))))"
     )
 
-    def run_with_env(self, pure: bool, src: pathlib.Path | None = None) -> list[str]:
-        src = src or pathlib.Path(__file__).resolve().parent.parent / "src"
+    @staticmethod
+    def copy_package(tmp_path: pathlib.Path) -> pathlib.Path:
+        """A copy of the package's sources, with no built module."""
+        package = pathlib.Path(garside.__file__).parent
+        copy = tmp_path / "braidkit"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+        return copy
+
+    def run(self, src: pathlib.Path) -> list[str]:
         env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
-        if pure:
-            env["BRAIDKIT_PURE"] = "1"
         result = subprocess.run(
             [sys.executable, "-c", self.SNIPPET],
             capture_output=True,
@@ -555,20 +563,18 @@ class TestBackendSelection:
         )
         return result.stdout.splitlines()
 
-    def test_forced_pure_backend(self):
-        backend, nf = self.run_with_env(pure=True)
+    def test_forced_pure_backend(self, tmp_path):
+        """A copy of the package without the built module, as an install
+        without a compiler leaves it, picks the pure-Python backend."""
+        self.copy_package(tmp_path)
+        backend, nf = self.run(tmp_path)
         assert backend == "python"
         assert nf == "D^1 | (1 3 2)"
 
     def test_default_prefers_compiled(self, speedups, tmp_path):
         """A copy of the package with the built module beside it, as an
         install with a compiler leaves it, picks the C backend."""
-        package = pathlib.Path(garside.__file__).parent
-        copy = tmp_path / "braidkit"
-        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-        shutil.copy(speedups.__file__, copy)
-        backend, nf = self.run_with_env(pure=False, src=tmp_path)
+        shutil.copy(speedups.__file__, self.copy_package(tmp_path))
+        backend, nf = self.run(tmp_path)
         assert backend == "c"
         assert nf == "D^1 | (1 3 2)"
-        backend, _ = self.run_with_env(pure=True, src=tmp_path)
-        assert backend == "python"
