@@ -9,6 +9,7 @@ computation over the cap, or a suite past its skip-rate threshold).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness
@@ -68,10 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--maxlen", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--general-conj-len", type=int, default=None)
-    p.add_argument("--max-sss", type=int, default=DEFAULT_SSS_LIMIT)
-    p.add_argument("--conjugate-fraction", type=float, default=0.5)
-    p.add_argument("--max-skip-rate", type=float, default=0.05)
+    # Flags left out keep SuiteConfig's defaults.
+    p.add_argument("--general-conj-len", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-sss", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--conjugate-fraction", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-skip-rate", type=float, default=argparse.SUPPRESS)
     p.add_argument("--format", choices=("text", "records", "json"), default="text")
     p.add_argument(
         "--times",
@@ -136,17 +138,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(
-        m=args.m,
-        n=args.n,
-        trials=args.trials,
-        maxlen=args.maxlen,
-        seed=args.seed,
-        conjugate_fraction=args.conjugate_fraction,
-        general_conj_len=args.general_conj_len,
-        max_sss=args.max_sss,
-        max_skip_rate=args.max_skip_rate,
-    )
+    given = vars(args)
+    names = [field.name for field in dataclasses.fields(SuiteConfig)]
+    cfg = SuiteConfig(**{name: given[name] for name in names if name in given})
     return _write_report(args, harness.verify_nonmerging(cfg))
 
 

@@ -39,7 +39,6 @@ from .garside import (
     DEFAULT_SSS_LIMIT,
     ResourceLimitError,
     _check_cap,
-    _flip_key,
     _nf_of_word,
     _permutation_of_key,
     _powers,
@@ -387,10 +386,10 @@ def classify(w: BraidWord, max_sss: int = DEFAULT_SSS_LIMIT) -> ClassificationRe
     :func:`_preserves_round_curve`, which is exact and builds no free
     words.
 
-    Two tests pass over triples before any power is computed, flipped or
-    walked. Each passes over only triples without a hit, so the first
-    hit, and with it the witness, its power and its conjugator, is that
-    of the full scan:
+    Two tests pass over triples before any power is computed or walked.
+    Each passes over only triples without a hit, so the first hit, and
+    with it the witness, its power and its conjugator, is that of the
+    full scan:
 
     - Delta-orbits. The flip tau(x) = Delta^-1 x Delta maps the round
       curve i..j to (n+1-j)..(n+1-i), tau(x)^k = tau(x^k), and the summit
@@ -413,13 +412,10 @@ def classify(w: BraidWord, max_sss: int = DEFAULT_SSS_LIMIT) -> ClassificationRe
     Every power k <= n of an element that passes is walked. A power
     whose permutation does not map the curve's punctures onto themselves
     fails the walk's last check, so testing only multiples of the
-    punctures' period would find the same first hit. On a curve equal
-    to its flip, a hit at x^k is one at tau(x)^k, so an element whose
-    flip came earlier has no hit there either, and walking it costs no
-    product: its powers are the flips of its twin's.
+    punctures' period would find the same first hit.
 
-    Each element's powers are keys, computed once when first needed: as
-    products, or as the flips of its twin's. super_summit_set verified
+    Each element's powers are keys, computed once when first needed, by
+    repeated products (garside._powers). super_summit_set verified
     every element conjugate to w by its closure edge; only the witness's
     curve class and conjugator are built, the conjugator along the
     closure tree and re-verified end to end
@@ -445,8 +441,7 @@ def classify(w: BraidWord, max_sss: int = DEFAULT_SSS_LIMIT) -> ClassificationRe
             if _tube_ruled_out(crossings, sss.conjugator_permutation(key)[i - 1 : j]):
                 continue
             if key not in powers:
-                flipped = powers.get(_flip_key(n, key))
-                powers[key] = [_flip_key(n, x) for x in flipped] if flipped else _powers(n, key, n)
+                powers[key] = _powers(n, key, n)
             for k, x in enumerate(powers[key], 1):
                 if _preserves_round_curve(n, x, i, j):
                     curve = curve_class_round(i, j, n)

@@ -24,19 +24,23 @@ Conjugation convention used everywhere: ``c`` conjugates ``a`` to
 
 What is verified, and when. The summit closure walks the super summit
 set breadth first and keeps, for each element, only the edge that
-reached it: a parent and a simple element. It expands one vertex of each
-pair {x, tau(x)}; the other's edges are flips of x's and cost no kernel
-conjugation. super_summit_set checks the seed's conjugator against the
-input end to end and every edge, derived by a flip or not, by one
-product on each side, so each element it returns is proven conjugate to
-the input; a conjugator is built from the edges, and re-verified end to
-end, only when one is read (SuperSummitSet). are_conjugate builds the
-conjugator of the vertex it finds and re-checks the certificate it
-returns through the word equation. The walk checks its own closure
-under tau, as every summit set is closed: it ends only when each
-expanded vertex's flip was reached, so super_summit_set returns no
-short set and are_conjugate answers "not conjugate" only after a
-complete walk. Any failed check raises RuntimeError.
+reached it: a parent and a simple element. It writes the edges into one
+tree that its caller owns, which is also its record of the elements it
+has reached; super_summit_set hands that tree to the SuperSummitSet it
+returns, and are_conjugate reads the found element's path from it. It
+expands one vertex of each pair {x, tau(x)}; the other's edges are flips
+of x's and cost no kernel conjugation. super_summit_set checks the
+seed's conjugator against the input end to end and every edge, derived
+by a flip or not, by one product on each side, so each element it
+returns is proven conjugate to the input; a conjugator is built from the
+edges, and re-verified end to end, only when one is read
+(SuperSummitSet). are_conjugate builds the conjugator of the vertex it
+finds and re-checks the certificate it returns through the word
+equation. The walk checks its own closure under tau, as every summit set
+is closed: it ends only when each expanded vertex's flip was reached, so
+super_summit_set returns no short set and are_conjugate answers "not
+conjugate" only after a complete walk. Any failed check raises
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -80,9 +84,8 @@ _MAX_STRANDS = 255
 
 _NfKey = tuple[int, bytes]
 _KeyPair = tuple[_NfKey, _NfKey]
-# A closure edge (key, parent, s): key is s^-1 * parent * s. The seed's
-# edge is (seed, None, None). A tree maps each key to (parent, s).
-_Edge = tuple[_NfKey, _NfKey | None, bytes | None]
+# A closure tree maps each key to the edge (parent, s) that reached it,
+# key being s^-1 * parent * s, and the seed to (None, None).
 _Tree = dict[_NfKey, tuple[_NfKey | None, bytes | None]]
 
 
@@ -565,17 +568,20 @@ def _check_cap(max_sss: int) -> None:
         raise ValueError("max_sss must be >= 1")
 
 
-def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
+def _summit_closure(n: int, seed: _NfKey, max_size: int, tree: _Tree) -> Iterator[_NfKey]:
     """Breadth-first walk of the super summit set of ``seed``, a summit
     element, under conjugation by each vertex's minimal simple elements.
 
-    Yields each vertex once as the edge ``(key, parent, s)`` that first
-    reached it, ``key`` being the kernel's normal form of
-    ``s^-1 * parent * s``; the seed comes first, as ``(seed, None, None)``.
-    The walk computes no conjugators and verifies no edge: callers do
-    that for the vertices they keep. A vertex is yielded before the cap
-    check, so a caller that stops at it never sees the cap; walking on
-    past ``max_size`` vertices raises ResourceLimitError.
+    Yields each vertex's key once, the seed first. Before it does, it
+    stores in ``tree``, which the caller owns, the edge that first
+    reached the vertex: ``tree[key] = (parent, s)``, ``key`` being the
+    kernel's normal form of ``s^-1 * parent * s``, and
+    ``tree[seed] = (None, None)``. The tree is also the walk's record of
+    the vertices it has reached. The walk computes no conjugators and
+    verifies no edge: callers do that for the vertices they keep. A
+    vertex is recorded and yielded before the cap check, so a caller
+    that stops at it never sees the cap; walking on past ``max_size``
+    vertices raises ResourceLimitError.
 
     Conjugation by Delta, the flip tau, is a Garside automorphism: it maps
     the summit set onto itself and carries the edges of x onto those of
@@ -598,8 +604,8 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
     len0 = len(seed[1])
     memo: dict = {}
     expanded: dict[_NfKey, list[tuple[bytes, _NfKey]]] = {}
-    yield seed, None, None
-    seen = {seed}
+    tree[seed] = (None, None)
+    yield seed
     queue: deque[_NfKey] = deque([seed])
     while queue:
         key = queue.popleft()
@@ -614,12 +620,12 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int) -> Iterator[_Edge]:
         for s, result in edges:
             if result[0] != inf0 or len(result[1]) != len0:
                 raise RuntimeError("internal error: a minimal simple element left the summit set")
-            if result in seen:
+            if result in tree:
                 continue
-            yield result, key, s
-            if len(seen) >= max_size:
-                raise ResourceLimitError("super summit set exceeded its cap", len(seen))
-            seen.add(result)
+            tree[result] = (key, s)
+            yield result
+            if len(tree) > max_size:
+                raise ResourceLimitError("super summit set exceeded its cap", max_size)
             queue.append(result)
     if expanded:
         raise RuntimeError("internal error: the summit set is not closed under tau")
@@ -657,7 +663,9 @@ def _verify_track(n: int, w_key: _NfKey, key: _NfKey, track: _NfKey) -> None:
 
 def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSummitSet:
     """The full super summit set of ``w``, as a view over the keys of its
-    elements and the closure's breadth-first tree.
+    elements and the breadth-first tree that the summit closure fills in
+    place: this function owns the tree, reads each element's edge from
+    it as the walk yields the element, and keeps it in the result.
 
     Verified before returning: the seed's track end to end,
     ``track * w * track^-1 = seed``, and every other element by its edge,
@@ -675,16 +683,17 @@ def super_summit_set(w: BraidWord, max_size: int = DEFAULT_SSS_LIMIT) -> SuperSu
     seed, seed_track = _drive_to_summit(n, w_key)
     _verify_track(n, w_key, seed, seed_track)
     tree: _Tree = {}
-    for key, parent, s in _summit_closure(n, seed, max_size):
+    for key in _summit_closure(n, seed, max_size, tree):
+        parent, s = tree[key]
         if parent is not None:
             # (0, s) is the normal form of s. s is never Delta: a vertex
             # without factors is its only conjugate, and one with factors
             # has an atom whose rho lies below its cycling conjugator.
             if _mul(n, parent, (0, s)) != _mul(n, (0, s), key):
                 raise RuntimeError("internal error: a summit edge failed verification")
-        tree[key] = (parent, s)
-    keys = tuple(sorted(tree, key=lambda key: (key[0], len(key[1]), key[1])))
-    return SuperSummitSet(n, w_key, seed, seed_track, keys, tree)
+    # Every element has the seed's inf and canonical length, so plain key
+    # order is the canonical order.
+    return SuperSummitSet(n, w_key, seed, seed_track, tuple(sorted(tree)), tree)
 
 
 def are_conjugate(
@@ -697,13 +706,16 @@ def are_conjugate(
     first; then both words are driven to their summits, whose (inf, sup)
     must agree; the verdict is membership of b's summit representative in
     the summit closure of a's, which doubles as the conjugator search.
-    Raises ValueError when ``max_sss`` < 1, ResourceLimitError when the
-    closure outgrows it before meeting b's summit.
+    Raises ValueError when ``max_sss`` < 1 or the strand count is beyond
+    the kernel's limit, whatever the invariants say, and
+    ResourceLimitError when the closure outgrows ``max_sss`` before
+    meeting b's summit.
     """
     _check_cap(max_sss)
     if a.strands != b.strands:
         raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
     n = a.strands
+    _check_strands(n)
     if exponent_sum(a) != exponent_sum(b):
         return None
     if permutation_of_word(a).cycle_type() != permutation_of_word(b).cycle_type():
@@ -713,11 +725,7 @@ def are_conjugate(
     if a_summit[0] != b_summit[0] or len(a_summit[1]) != len(b_summit[1]):
         return None
     tree: _Tree = {}
-    for key, parent, s in _summit_closure(n, a_summit, max_sss):
-        tree[key] = (parent, s)
-        if key == b_summit:
-            break
-    else:
+    if b_summit not in _summit_closure(n, a_summit, max_sss, tree):
         return None
     found = _along_tree(tree, {a_summit: a_track}, b_summit, functools.partial(_edge_track, n))
     certificate = ConjugacyCertificate(n, _mul(n, _inv(n, b_track), found))

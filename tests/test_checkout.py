@@ -1,6 +1,6 @@
 """The checkout itself: git tracks no file that .gitignore excludes, and CI
-runs the Tier-1 command, the benchmark's self-test and the setup.py
-build of the C backend."""
+runs the Tier-1 command, the benchmark's self-test, a check that src/
+holds no ignored file, and the setup.py build of the C backend."""
 
 from __future__ import annotations
 
@@ -45,6 +45,20 @@ def test_ci_runs_the_benchmark_self_test():
     fails."""
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     assert "run: python3 perfbench/selftest.py\n" in workflow
+
+
+def test_ci_keeps_src_free_of_ignored_files():
+    """The CI job writes no bytecode, and after the tests and the
+    self-test its clean-checkout step also fails on ignored files under
+    src/: plain ``git status --porcelain`` cannot see a stray
+    ``__pycache__/`` or built module there, and a built module switches
+    every later import to the C backend."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert '    env:\n      PYTHONDONTWRITEBYTECODE: "1"\n    steps:\n' in workflow
+    check = '          test -z "$(git status --porcelain --ignored src)"\n'
+    assert check in workflow
+    assert workflow.index("run: python3 perfbench/selftest.py") < workflow.index(check)
+    assert workflow.index(check) < workflow.index("python setup.py build_ext --inplace")
 
 
 def test_ci_builds_the_extension_with_setup_py():

@@ -218,6 +218,8 @@ class TestStrandLimit:
             ("nf", "300: 1 2"),
             ("eq", "256: 1", "256: 1"),
             ("conj", "300: 1 2", "300: 2 1"),
+            # Exponent sums differ, but the limit is checked first.
+            ("conj", "300: 1", "300: 2 3"),
             ("classify", "256: 1 -2"),
         ],
     )

@@ -373,14 +373,13 @@ class TestSuperSummitSet:
         takes 136: 12 conjugator products while driving w to the summit,
         2 to verify the seed's conjugator, 2 per edge for the other 61
         elements. Reading pairs adds 185: 61 conjugator products and 2
-        verification products per element. classify takes 193: 3 for the
-        powers in is_periodic, the set's 136, and powers up to 4 of 18
+        verification products per element. classify takes 205: 3 for the
+        powers in is_periodic, the set's 136, and powers up to 4 of 22
         elements, 3 products each: the 14 that linking numbers leave on
-        (1, 2), and 4 of the 8 they leave on (2, 3), whose other 4 flip
-        their twins' powers. The result is pseudo-Anosov, so no witness
-        conjugator is built. The
-        closure expands one vertex of each pair {x, tau(x)}: 31
-        conjugate_batch calls, 61 conjugations."""
+        (1, 2), and the 8 they leave on (2, 3). The result is
+        pseudo-Anosov, so no witness conjugator is built. The closure
+        expands one vertex of each pair {x, tau(x)}: 31 conjugate_batch
+        calls, 61 conjugations."""
         calls = []
         batches = []
         multiply = _kernel.multiply
@@ -404,7 +403,7 @@ class TestSuperSummitSet:
         assert len(calls) == 136 + 185
         calls.clear()
         assert classify(w).kind == "pseudo_anosov"
-        assert len(calls) == 193
+        assert len(calls) == 205
 
 
 def _minimal_simples(n, key, memo, kernel=_kernel):
@@ -433,6 +432,14 @@ def _expand_every_vertex(n, seed, max_size):
             queue.append(result)
 
 
+def _tree_edges(n, seed, cap):
+    """The summit closure's vertices, each as the edge (key, parent, s)
+    that the walk stored for it in its tree."""
+    tree = {}
+    for key in _summit_closure(n, seed, cap, tree):
+        yield (key, *tree[key])
+
+
 def _walk(closure, n, seed, cap):
     """(edges, partial count), the count None when the walk finished."""
     edges = []
@@ -457,13 +464,14 @@ class TestFlipTwins:
         "n, length, words", [(3, 8, 8), (4, 8, 8), (5, 6, 8), (6, 5, 6), (7, 4, 4)]
     )
     def test_same_walk_as_expanding_every_vertex(self, n, length, words):
-        """The same edges, in the same order, and the same partial count
-        under every cap, as the walk that expands every vertex."""
+        """The same edges, read from the walk's tree, in the same order,
+        and the same partial count under every cap, as the walk that
+        expands every vertex."""
         derived = 0
         for seed in range(words):
             summit, _ = _drive_to_summit(n, _word_key(random_word(n, length, 900 + seed)))
             for cap in (1, 3, 50, DEFAULT_SSS_LIMIT):
-                walk = _walk(_summit_closure, n, summit, cap)
+                walk = _walk(_tree_edges, n, summit, cap)
                 assert walk == _walk(_expand_every_vertex, n, summit, cap)
             keys = {key for key, _, _ in walk[0]}
             derived += sum(1 for key in keys if _flip_key(n, key) != key)
@@ -529,10 +537,10 @@ class TestFlipTwins:
             return [(s, _flip_key(n, key)) for s, key in honest(n, edges)]
 
         monkeypatch.setattr(garside, "_flip_edges", unflipped)
-        walked = set()
+        walked = {}
         with pytest.raises(RuntimeError, match="not closed under tau"):
-            for key, _, _ in _summit_closure(4, summit, DEFAULT_SSS_LIMIT):
-                walked.add(key)
+            for _ in _summit_closure(4, summit, DEFAULT_SSS_LIMIT, walked):
+                pass
         assert (len(keys), len(walked)) == (62, 39)
         with pytest.raises(RuntimeError, match="not closed under tau"):
             super_summit_set(w)

@@ -7,6 +7,7 @@ The compiled twin is built from its C source by the session fixture
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import itertools
 import pathlib
@@ -20,6 +21,7 @@ import tracemalloc
 import pytest
 import test_classify_golden
 import test_garside
+import test_report_bytes
 
 from braidkit import _kernel, _native, garside
 from braidkit.garside import _letters_to_factors
@@ -509,16 +511,32 @@ class TestCompiledArguments:
 
 
 class TestCompiledWorkloads:
-    def test_goldens(self, speedups, monkeypatch):
-        """The SSS and classify goldens, run with every kernel call of the
-        Garside layer on the compiled kernel, minimal_simples included,
-        give their pinned element and conjugator hashes."""
+    """Pinned workloads, run with every kernel call of the Garside layer
+    on the compiled kernel, minimal_simples included."""
+
+    @pytest.fixture
+    def compiled(self, speedups, monkeypatch):
         for name in KERNEL_FUNCTIONS:
             monkeypatch.setattr(_kernel, name, getattr(speedups, name))
+
+    def test_goldens(self, compiled):
+        """The SSS and classify goldens give their pinned element and
+        conjugator hashes."""
         test_garside.TestSuperSummitSet().test_golden()
         test_classify_golden.test_curated_words()
         test_classify_golden.test_embedded_b3_words()
         test_classify_golden.test_conjugated_b4_words()
+
+    @pytest.mark.parametrize("suite", ["plain", "general", "skips"])
+    def test_report_bytes(self, compiled, suite):
+        """The verify suites of test_report_bytes render their pinned
+        bytes in every format, conjugators built by are_conjugate
+        included. The suite runs afresh, not from that module's cache."""
+        summary = test_report_bytes.SUITES[suite]()
+        for fmt in ("records", "json", "text"):
+            text = test_report_bytes.RENDERERS[fmt](summary)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == test_report_bytes.EXPECTED[suite, fmt], (fmt, text)
 
 
 class TestArity:
