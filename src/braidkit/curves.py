@@ -45,7 +45,7 @@ from .garside import (
     _word_of_key,
     super_summit_set,
 )
-from .words import BraidWord
+from .words import BraidWord, _free_reduce
 
 __all__ = [
     "ClassificationResult",
@@ -63,16 +63,6 @@ __all__ = [
 
 # Image words longer than this abort the computation; see artin_action.
 DEFAULT_IMAGE_LIMIT = 2_000_000
-
-
-def _free_reduce(letters) -> tuple[int, ...]:
-    out: list[int] = []
-    for letter in letters:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -55,6 +55,7 @@ from ._native import _complement, _inverse, _tau_flat
 from .words import (
     BraidWord,
     Permutation,
+    _free_reduce,
     concat,
     exponent_sum,
     invert_word,
@@ -353,10 +354,16 @@ def _letter_items(n: int) -> dict[int, tuple[int, bytes]]:
 
 
 def _letters_to_factors(n: int, letters: tuple[int, ...]) -> tuple[int, bytes]:
-    """Assemble the per-letter items; the result still needs kernel
-    normalization."""
+    """Freely reduce the word, then assemble its per-letter items; the
+    result still needs kernel normalization.
+
+    Free reduction (_free_reduce) cancels each letter against an inverse
+    neighbour, nested pairs such as ``1 2 -2 -1`` included. sigma_i
+    sigma_i^-1 is the identity, so the reduced word names the same braid,
+    and as normal forms are unique every key taken from it is the key of
+    the full word; the kernel just slides fewer factors."""
     items = _letter_items(n)
-    return _assemble(n, [items[letter] for letter in letters])
+    return _assemble(n, [items[letter] for letter in _free_reduce(letters)])
 
 
 def _check_strands(n: int) -> None:
@@ -366,6 +373,9 @@ def _check_strands(n: int) -> None:
 
 
 def _nf_of_word(w: BraidWord) -> _NfKey:
+    """The normal-form key of a word. The kernel normalizes the freely
+    reduced word (_letters_to_factors), which has the same unique normal
+    form as w, so the key is the one the unreduced word would give."""
     _check_strands(w.strands)
     p, flat = _letters_to_factors(w.strands, w.letters)
     return _kernel.normalize(w.strands, p, flat)

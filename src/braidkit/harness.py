@@ -17,12 +17,16 @@ general-embedding conjugator from derive_seed(s ^ GENERAL_SALT, t), so
 reports are bitwise reproducible.
 
 Report model. A summary keeps its configuration and what each trial
-produced, and derives everything else. A TrialReport stores the pair,
-the verdicts (B_m, B_n and the optional conjugated embedding), the two
-certificates, the skip reason and the two decision times; ``skipped``,
-``consistent``, ``general_consistent``, ``theorem_violation`` and
-``lifted_witness`` are read-only properties over those. One function,
-_tally, counts the reports into the summary's tallies:
+produced, and derives everything else. A TrialReport stores the
+summary's configuration object and its trial id, the verdicts (B_m, B_n
+and the optional conjugated embedding), the two certificates, the skip
+reason and the two decision times. Its pair and mode are not stored:
+``a``, ``b`` and ``mode`` re-derive them with generate_pair, which is
+deterministic in (config, trial), so a kept summary holds no words.
+``skipped``, ``consistent``, ``general_consistent``,
+``theorem_violation`` and ``lifted_witness`` are read-only properties
+over those fields. One function, _tally, counts the reports into the
+summary's tallies:
 
     conjugate            both verdicts true
     non_conjugate        both verdicts false
@@ -139,12 +143,14 @@ class SuiteConfig:
 class TrialReport:
     """What one trial produced. The verdicts are None exactly when the
     trial was skipped on a resource limit, and ``verdict_general`` also
-    when the suite has no general conjugator."""
+    when the suite has no general conjugator.
 
+    The report keeps its suite's configuration (the summary's own object)
+    and its trial id, not the pair: ``a``, ``b`` and ``mode`` re-derive it
+    with generate_pair, which is deterministic in (config, trial)."""
+
+    config: SuiteConfig
     trial: int
-    mode: str
-    a: BraidWord
-    b: BraidWord
     verdict_m: bool | None = None
     verdict_n: bool | None = None
     verdict_general: bool | None = None
@@ -153,6 +159,18 @@ class TrialReport:
     skip_reason: str | None = None
     time_m_us: int = 0
     time_n_us: int = 0
+
+    @property
+    def a(self) -> BraidWord:
+        return generate_pair(self.config, self.trial)[0]
+
+    @property
+    def b(self) -> BraidWord:
+        return generate_pair(self.config, self.trial)[1]
+
+    @property
+    def mode(self) -> str:
+        return generate_pair(self.config, self.trial)[2]
 
     @property
     def skipped(self) -> bool:
@@ -279,7 +297,7 @@ def _general_conjugator(cfg: SuiteConfig, trial: int) -> BraidWord:
 
 
 def _run_trial(cfg: SuiteConfig, trial: int) -> TrialReport:
-    a, b, mode = generate_pair(cfg, trial)
+    a, b, _ = generate_pair(cfg, trial)
     try:
         start = time.perf_counter_ns()
         cert_m = are_conjugate(a, b, max_sss=cfg.max_sss)
@@ -299,12 +317,10 @@ def _run_trial(cfg: SuiteConfig, trial: int) -> TrialReport:
             )
             verdict_general = cert_g is not None
     except ResourceLimitError as exc:
-        return TrialReport(trial, mode, a, b, skip_reason=f"resource-limit: {exc}")
+        return TrialReport(cfg, trial, skip_reason=f"resource-limit: {exc}")
     return TrialReport(
+        cfg,
         trial,
-        mode,
-        a,
-        b,
         verdict_m=cert_m is not None,
         verdict_n=cert_n is not None,
         verdict_general=verdict_general,
@@ -453,13 +469,14 @@ _TIMES = ("time_m_us", "time_n_us")
 
 
 def _trial_document(r: TrialReport) -> dict:
-    """One trial of the document; render_json spells its words and
-    certificates with :func:`_spell`."""
+    """One trial of the document, with its pair derived once; render_json
+    spells its words and certificates with :func:`_spell`."""
+    a, b, mode = generate_pair(r.config, r.trial)
     return {
         "trial": r.trial,
-        "mode": r.mode,
-        "a": r.a,
-        "b": r.b,
+        "mode": mode,
+        "a": a,
+        "b": b,
         "verdict_m": r.verdict_m,
         "verdict_n": r.verdict_n,
         "verdict_general": r.verdict_general,

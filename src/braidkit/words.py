@@ -3,8 +3,10 @@
 A word in the braid group on ``n`` strands is a sequence of signed
 generator letters: the integer ``+i`` stands for the generator crossing
 strands ``i`` and ``i+1`` positively, ``-i`` for its inverse. Words are
-stored verbatim; nothing in this module rewrites or cancels letters.
-Canonical forms live in :mod:`braidkit.garside`.
+stored verbatim; no operation here rewrites a word. Canonical forms live
+in :mod:`braidkit.garside`. The one helper that cancels letters,
+_free_reduce, reduces a letter sequence for garside's normal forms and
+for the free-group words of :mod:`braidkit.curves`.
 
 Global convention, shared by every module in the package: words act left
 to right. The first letter of a word is the crossing applied first, and
@@ -113,6 +115,18 @@ class Permutation:
 
     def __str__(self) -> str:
         return "(" + " ".join(str(v) for v in self.images) + ")"
+
+
+def _free_reduce(letters) -> tuple[int, ...]:
+    """Cancel each letter against an inverse neighbour, in one stack pass,
+    so nested pairs such as ``1 2 -2 -1`` vanish too."""
+    out: list[int] = []
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
 
 
 def concat(*words: BraidWord) -> BraidWord:

@@ -1,6 +1,7 @@
 """The checkout itself: git tracks no file that .gitignore excludes, and CI
 runs the Tier-1 command, the benchmark's self-test, a check that src/
-holds no ignored file, and the setup.py build of the C backend."""
+holds no ignored file, and the setup.py build of the C backend, on the
+oldest Python that pyproject.toml admits among others."""
 
 from __future__ import annotations
 
@@ -70,3 +71,14 @@ def test_ci_builds_the_extension_with_setup_py():
     check = """          PYTHONPATH=src python -c 'import braidkit; assert braidkit.backend_name() == "c"'\n"""
     assert workflow.endswith(build + check)
     assert workflow.index("git status --porcelain") < workflow.index(build)
+
+
+def test_ci_tests_the_oldest_supported_python():
+    """The CI job runs on a matrix of Pythons that includes the floor of
+    pyproject.toml's requires-python, and every step uses that matrix."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$', pyproject, re.M).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    versions = re.search(r"^        python-version: \[(.*)\]$", workflow, re.M).group(1)
+    assert f'"{floor}"' in versions.split(", ")
+    assert "          python-version: ${{ matrix.python-version }}\n" in workflow

@@ -43,14 +43,17 @@ from braidkit import _kernel, _native, garside
 from braidkit._native import _tau_flat
 from braidkit.garside import (
     DEFAULT_SSS_LIMIT,
+    _assemble,
     _cycle_key,
     _decycle_key,
     _drive_to_summit,
     _flip_edges,
     _flip_key,
     _inv,
+    _letter_items,
     _letters_to_factors,
     _mul,
+    _nf_of_word,
     _permutation_of_key,
     _summit_closure,
     _word_of_key,
@@ -650,6 +653,66 @@ class TestNormalFormValidation:
 
 def _word_key(w: BraidWord) -> tuple[int, bytes]:
     return _kernel.normalize(w.strands, *_letters_to_factors(w.strands, w.letters))
+
+
+def _per_letter_key(w: BraidWord) -> tuple[int, bytes]:
+    """The reference path: one item per letter, no cancellation, then the
+    kernel's normal form."""
+    items = _letter_items(w.strands)
+    return _kernel.normalize(w.strands, *_assemble(w.strands, [items[g] for g in w.letters]))
+
+
+def _freely_reduced(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The reference reducer: delete the first inverse pair until none is left."""
+    letters = list(letters)
+    while True:
+        for i in range(len(letters) - 1):
+            if letters[i] == -letters[i + 1]:
+                del letters[i : i + 2]
+                break
+        else:
+            return tuple(letters)
+
+
+def _spliced_words(seed: int, count: int) -> list[BraidWord]:
+    """Seeded words of B_2..B_7 with inverse pairs spliced in at random
+    places, a third of them nested (``g h -h -g``)."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        letters = list(random_word(n, rng.randint(0, 14), rng.randrange(2**32)).letters)
+        for _ in range(rng.randint(1, 5)):
+            g, h = (rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(2))
+            pair = [g, h, -h, -g] if rng.random() < 1 / 3 else [g, -g]
+            at = rng.randint(0, len(letters))
+            letters[at:at] = pair
+        words.append(BraidWord(n, tuple(letters)))
+    return words
+
+
+class TestFreeReduction:
+    def test_normal_forms_match_the_per_letter_path(self):
+        for w in _spliced_words(19, 500):
+            assert _nf_of_word(w) == _per_letter_key(w)
+
+    def test_factors_are_those_of_the_freely_reduced_word(self):
+        for w in _spliced_words(20, 500):
+            reduced = _freely_reduced(w.letters)
+            assert len(reduced) < len(w)
+            assert _letters_to_factors(w.strands, w.letters) == _letters_to_factors(
+                w.strands, reduced
+            )
+
+    def test_nested_pairs_cascade_to_nothing(self):
+        assert _letters_to_factors(4, (1, -1, 2, 3, -3, -2) * 20) == (0, b"")
+        assert _letters_to_factors(3, (1, 2, -2, -1)) == (0, b"")
+
+    def test_same_sign_neighbours_stay(self):
+        items = _letter_items(3)
+        assert _letters_to_factors(3, (1, 1, -2, -2)) == _assemble(
+            3, [items[1], items[1], items[-2], items[-2]]
+        )
 
 
 class TestKeyInverse:

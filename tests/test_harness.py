@@ -150,14 +150,13 @@ class TestReportModel:
     reports are built by hand, since a sound engine never produces them."""
 
     def test_verify_tallies(self):
-        w = BraidWord(2, (1,))
-        reports = (
-            TrialReport(0, "random", w, w, verdict_m=True, verdict_n=True, verdict_general=True),
-            TrialReport(1, "random", w, w, verdict_m=False, verdict_n=True, verdict_general=True),
-            TrialReport(2, "random", w, w, verdict_m=False, verdict_n=False, verdict_general=True),
-            TrialReport(3, "random", w, w, skip_reason="resource-limit: cap"),
-        )
         cfg = SuiteConfig(**{**BASE, "trials": 4, "general_conj_len": 2})
+        reports = (
+            TrialReport(cfg, 0, verdict_m=True, verdict_n=True, verdict_general=True),
+            TrialReport(cfg, 1, verdict_m=False, verdict_n=True, verdict_general=True),
+            TrialReport(cfg, 2, verdict_m=False, verdict_n=False, verdict_general=True),
+            TrialReport(cfg, 3, skip_reason="resource-limit: cap"),
+        )
         summary = VerifySummary(cfg, reports)
         assert [r.consistent for r in reports] == [True, False, True, None]
         assert [r.theorem_violation for r in reports] == [False, True, False, False]
@@ -195,11 +194,36 @@ class TestReportModel:
         assert render_boundary_records(summary).endswith("failures=2\n")
 
 
+class TestReportsDeriveTheirPair:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"m": 3, "n": 5, "trials": 20, "general_conj_len": 4},
+            {"m": 3, "n": 4, "trials": 12, "conjugate_fraction": 1.0, "max_sss": 1},
+        ],
+    )
+    def test_pair_and_mode_are_generate_pair(self, fields):
+        cfg = SuiteConfig(**{**BASE, **fields})
+        summary = verify_nonmerging(cfg)
+        if cfg.max_sss == 1:
+            assert 0 < summary.skipped < len(summary.reports)
+        for r in summary.reports:
+            assert r.config is cfg
+            assert (r.a, r.b, r.mode) == generate_pair(cfg, r.trial)
+
+    def test_no_slot_holds_a_word(self):
+        assert not {"a", "b", "mode"} & set(TrialReport.__slots__)
+        summary = verify_nonmerging(SuiteConfig(**{**BASE, "trials": 5}))
+        for r in summary.reports:
+            assert not any(isinstance(getattr(r, s), BraidWord) for s in TrialReport.__slots__)
+
+
 class TestReportMemory:
     def test_reports_keep_keys_not_words(self):
-        # Certificates hold normal-form keys and reports use slots: a
-        # summary takes about 540 bytes a trial on CPython 3.11, against
-        # 1,190 with a conjugator word and a __dict__ on each object. A
+        # Certificates hold normal-form keys, reports re-derive their pair
+        # and use slots: a summary takes about 280 bytes a trial on CPython
+        # 3.11, against 540 with the pair's words in each report and 1,190
+        # with a conjugator word and a __dict__ on each object as well. A
         # caller that keeps many summaries pays this per trial. The summary
         # is rebuilt from its pickle under tracemalloc, so that only its
         # own objects are traced and not the work of the decisions.
