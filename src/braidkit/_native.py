@@ -11,9 +11,9 @@ vertex's inverse from the complements of its factors (``_inverse``);
 and both return bit-identical results (tests/test_kernel.py checks this
 on random inputs, on every vertex of summit sets and on whole
 workloads). Only this twin memoizes pushes, in a dict that the caller
-keeps for one walk. The compiled twin also checks its arguments; this
-module is called only with the Garside layer's own keys and checks
-nothing on the hot path.
+keeps for each strand count across walks (garside._push_table). The
+compiled twin also checks its arguments; this module is called only
+with the Garside layer's own keys and checks nothing on the hot path.
 
 Data layout: a canonical factor of B_n is a permutation of
 ``{0, ..., n-1}`` stored as ``n`` bytes, image of ``k`` at offset ``k``.
@@ -271,10 +271,12 @@ def minimal_simples(n: int, p: int, flat: bytes, memo: dict) -> list[bytes]:
     rho(sigma_i) is the first s, raised from sigma_i, that passes both
     tests.
 
-    ``memo`` is a dict that the caller keeps for one closure walk, which
-    meets the same few simple elements at vertex after vertex: it holds
-    each once, with its inversion set, and every push. The C twin ignores
-    it.
+    ``memo`` is a dict of B_n's simple elements, each held once with its
+    inversion set, and of pushes; every entry is a pure function of its
+    key, so a memo warmed by any earlier call of the same strand count
+    gives the same result as an empty one. Summit walks meet the same
+    few simple elements at vertex after vertex, and the caller keeps one
+    memo per strand count across walks. The C twin ignores it.
     """
     identity = bytes(range(n))
     sides = [

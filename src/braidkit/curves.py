@@ -394,10 +394,12 @@ def classify(w: BraidWord, max_sss: int = DEFAULT_SSS_LIMIT) -> ClassificationRe
       curve's strands as one tube, so every strand outside would cross
       each of them equally often; crossing counts of pure braids add
       under products, so y^m would show the same. When some strand
-      outside does not, no power of y preserves the curve. w^m's counts
-      are read once per call (:func:`_crossings_of_power`), c's
-      permutation off the closure tree
-      (SuperSummitSet.conjugator_permutation).
+      outside does not, no power of y preserves the curve. The answer
+      depends only on the set of w's strands inside, so each call tests
+      each set once and reuses its answer for every (curve, element)
+      pair that meets it. w^m's counts are read once per call
+      (:func:`_crossings_of_power`), c's permutation off the closure
+      tree (SuperSummitSet.conjugator_permutation).
 
     Every power k <= n of an element that passes is walked. A power
     whose permutation does not map the curve's punctures onto themselves
@@ -424,11 +426,15 @@ def classify(w: BraidWord, max_sss: int = DEFAULT_SSS_LIMIT) -> ClassificationRe
     sss = super_summit_set(w, max_size=max_sss)
     crossings = _crossings_of_power(n, w.letters, _permutation_of_key(n, sss.word_key))
     powers: dict[tuple[int, bytes], list[tuple[int, bytes]]] = {}
+    ruled_out: dict[bytes, bool] = {}
     for i, j in _round_curves(n):
         if i + j > n + 1:
             continue
         for key in sss.keys:
-            if _tube_ruled_out(crossings, sss.conjugator_permutation(key)[i - 1 : j]):
+            inside = bytes(sorted(sss.conjugator_permutation(key)[i - 1 : j]))
+            if inside not in ruled_out:
+                ruled_out[inside] = _tube_ruled_out(crossings, inside)
+            if ruled_out[inside]:
                 continue
             if key not in powers:
                 powers[key] = _powers(n, key, n)

@@ -80,6 +80,15 @@ __all__ = [
 ]
 
 DEFAULT_SSS_LIMIT = 100_000
+# Entries that one strand count's push table (_push_table) may keep from
+# one summit walk to the next. Over the benchmark corpora the B_3 table
+# stops growing at 24 entries and the B_4 table at about 340; the B_6
+# table reaches 5,138 over the 1,500 nm-wide-b6 items, so it is emptied
+# now and then. Within a walk a table grows as the walk needs: 39,486
+# entries for the 17,344-element summit set of
+# "6: -2 3 3 5 5 1 1 -4 -4 -2 -2 1 1 2", 8,733 for the 752 elements of
+# random_word(7, 40, 3).
+_PUSH_TABLE_CAP = 1 << 12
 # The kernel's largest strand count (MAX_N in _speedups.c).
 _MAX_STRANDS = 255
 
@@ -573,6 +582,16 @@ def _flip_edges(n: int, edges: list[tuple[bytes, _NfKey]]) -> list[tuple[bytes, 
     return sorted(flipped, key=lambda edge: min(_descents(edge[0])))
 
 
+@functools.lru_cache(maxsize=None)
+def _push_table(n: int) -> dict:
+    """B_n's table for the pure-Python minimal_simples, for the life of
+    the process: each simple element once, with its inversion set, and
+    every push. Keys of different strand counts never meet in one table,
+    and an overfull table of one count is emptied without touching the
+    others (_summit_closure). The C twin ignores it."""
+    return {}
+
+
 def _check_cap(max_sss: int) -> None:
     if max_sss < 1:
         raise ValueError("max_sss must be >= 1")
@@ -598,11 +617,17 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int, tree: _Tree) -> Iterato
     tau(x) (_flip_edges). So only one vertex of each pair {x, tau(x)} is
     expanded, by one minimal_simples and one conjugate_batch kernel call;
     its edges are kept until its twin is dequeued, which reads its own off
-    by the flip, with no kernel call, and drops them. ``memo`` holds the
-    pure-Python kernel's pushes for the walk. Every vertex
-    still gets exactly the edges, in the same order, that expanding it
-    would give, so the walk, its tree, its cap and its completeness (the
-    summit set is connected under minimal simple elements) are unchanged.
+    by the flip, with no kernel call, and drops them. Every vertex still
+    gets exactly the edges, in the same order, that expanding it would
+    give, so the walk, its tree, its cap and its completeness (the summit
+    set is connected under minimal simple elements) are unchanged.
+
+    The pure-Python kernel's pushes are kept in B_n's table
+    (_push_table), shared with every earlier walk of the process: a push
+    is a pure function of its simple elements, so a warm table changes
+    no edge. However the walk ends, exhausted, capped or closed early by
+    its caller, a table holding more than _PUSH_TABLE_CAP entries is
+    emptied, so between walks no strand count keeps more.
 
     The walk checks its own tau-closure, which every summit set has: a
     vertex's kept edges are dropped only when its twin is dequeued, so
@@ -612,33 +637,40 @@ def _summit_closure(n: int, seed: _NfKey, max_size: int, tree: _Tree) -> Iterato
     """
     inf0 = seed[0]
     len0 = len(seed[1])
-    memo: dict = {}
-    expanded: dict[_NfKey, list[tuple[bytes, _NfKey]]] = {}
-    tree[seed] = (None, None)
-    yield seed
-    queue: deque[_NfKey] = deque([seed])
-    while queue:
-        key = queue.popleft()
-        twin = _flip_key(n, key)
-        if twin in expanded:
-            edges = _flip_edges(n, expanded.pop(twin))
-        else:
-            simples = _kernel.minimal_simples(n, *key, memo)
-            edges = list(zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)))
-            if twin != key:
-                expanded[key] = edges
-        for s, result in edges:
-            if result[0] != inf0 or len(result[1]) != len0:
-                raise RuntimeError("internal error: a minimal simple element left the summit set")
-            if result in tree:
-                continue
-            tree[result] = (key, s)
-            yield result
-            if len(tree) > max_size:
-                raise ResourceLimitError("super summit set exceeded its cap", max_size)
-            queue.append(result)
-    if expanded:
-        raise RuntimeError("internal error: the summit set is not closed under tau")
+    memo = _push_table(n)
+    try:
+        expanded: dict[_NfKey, list[tuple[bytes, _NfKey]]] = {}
+        tree[seed] = (None, None)
+        yield seed
+        queue: deque[_NfKey] = deque([seed])
+        while queue:
+            key = queue.popleft()
+            twin = _flip_key(n, key)
+            if twin in expanded:
+                edges = _flip_edges(n, expanded.pop(twin))
+            else:
+                simples = _kernel.minimal_simples(n, *key, memo)
+                edges = list(zip(simples, _kernel.conjugate_batch(n, key[0], key[1], simples)))
+                if twin != key:
+                    expanded[key] = edges
+            for s, result in edges:
+                if result[0] != inf0 or len(result[1]) != len0:
+                    raise RuntimeError(
+                        "internal error: a minimal simple element left the summit set"
+                    )
+                if result in tree:
+                    continue
+                tree[result] = (key, s)
+                yield result
+                if len(tree) > max_size:
+                    raise ResourceLimitError("super summit set exceeded its cap", max_size)
+                queue.append(result)
+        if expanded:
+            raise RuntimeError("internal error: the summit set is not closed under tau")
+    finally:
+        # However the walk ended: exhausted, capped, or closed by its caller.
+        if len(memo) > _PUSH_TABLE_CAP:
+            memo.clear()
 
 
 def _along_tree(tree: _Tree, known: dict, key: _NfKey, step: Callable):

@@ -1,7 +1,8 @@
 """The checkout itself: git tracks no file that .gitignore excludes, and CI
 runs the Tier-1 command, the benchmark's self-test, a check that src/
 holds no ignored file, and the setup.py build of the C backend, on the
-oldest Python that pyproject.toml admits among others."""
+oldest Python that pyproject.toml admits among others, within a time
+limit."""
 
 from __future__ import annotations
 
@@ -82,3 +83,10 @@ def test_ci_tests_the_oldest_supported_python():
     versions = re.search(r"^        python-version: \[(.*)\]$", workflow, re.M).group(1)
     assert f'"{floor}"' in versions.split(", ")
     assert "          python-version: ${{ matrix.python-version }}\n" in workflow
+
+
+def test_ci_job_has_a_time_limit():
+    """The tier1 job sets its own timeout, so a walk that never ends
+    fails the job within 30 minutes instead of GitHub's 6-hour default."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert "  tier1:\n    runs-on: ubuntu-latest\n    timeout-minutes: 30\n" in workflow

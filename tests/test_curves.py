@@ -482,6 +482,28 @@ class TestClassifyScanIsExact:
         assert (_flip_key(4, witness) == witness) == witness_fixed
 
 
+class TestOneTubeTestPerStrandSet:
+    def test_each_strand_set_is_tested_once(self, monkeypatch):
+        """On a seeded pseudo-Anosov B_5 word, whose scan meets every
+        (curve, element) pair, classify runs the linking-number test once
+        per distinct set of w's strands inside a curve, with that set."""
+        w = penner(random.Random(55), 5)
+        sss = super_summit_set(w)
+        pairs = [(i, j, key) for i, j in _round_curves(5) if i + j <= 6 for key in sss.keys]
+        met = {frozenset(sss.conjugator_permutation(key)[i - 1 : j]) for i, j, key in pairs}
+        calls = []
+        real = curves._tube_ruled_out
+
+        def counted(crossings, inside):
+            calls.append(frozenset(inside))
+            return real(crossings, inside)
+
+        monkeypatch.setattr(curves, "_tube_ruled_out", counted)
+        assert classify(w).kind == "pseudo_anosov"
+        assert len(calls) == len(set(calls)) and set(calls) == met
+        assert (len(pairs), len(met)) == (2880, 25)
+
+
 class TestRoundImages:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_every_simple_element_against_the_free_group_action(self, n):

@@ -555,6 +555,107 @@ class TestFlipTwins:
         assert are_conjugate(w, b).verifies(w, b)
 
 
+@pytest.fixture
+def push_tables(monkeypatch):
+    """garside._push_table, emptied before and after the test, with the
+    summit walk's step on the pure-Python kernel, which alone reads the
+    tables, whatever backend is active."""
+    monkeypatch.setattr(_kernel, "minimal_simples", _native.minimal_simples)
+    garside._push_table.cache_clear()
+    yield garside._push_table
+    garside._push_table.cache_clear()
+
+
+def _is_table_key(n, key):
+    """A simple element of B_n (n bytes) or a push of two (2n bytes)."""
+    return len(key) in (n, 2 * n) and all(
+        sorted(key[off : off + n]) == list(range(n)) for off in range(0, len(key), n)
+    )
+
+
+class TestPushTables:
+    """The pure-Python summit step keeps one push table per strand count
+    for the life of the process; a warm table must change no result, and
+    between walks no table may keep more than the cap."""
+
+    def test_a_warm_table_gives_the_results_of_an_empty_one(self, push_tables):
+        """Every strand count's table is warmed by the walks of every
+        count, its own included, before its vertices are checked."""
+        sets = {
+            n: [super_summit_set(random_word(n, length, 700 + seed)) for seed in range(words)]
+            for n, length, words in ((3, 8, 8), (4, 8, 8), (5, 6, 8), (6, 5, 5), (7, 4, 3))
+        }
+        vertices = 0
+        for n, summit_sets in sets.items():
+            table = push_tables(n)
+            assert table
+            for sss in summit_sets:
+                for key in sss.keys:
+                    assert _native.minimal_simples(n, *key, table) == _minimal_simples(n, key, {})
+                    vertices += 1
+        assert vertices > 500
+
+    def test_walks_of_other_counts_change_no_set(self, push_tables):
+        """B_8, then B_4, then B_8 and B_4 again, each against the set a
+        walk from empty tables gives. A B_4 push key has the length of a
+        B_8 simple element but never its bytes, as a push repeats each
+        value, so one table shared by every count would give the same
+        sets: each table must also hold its own count's keys only."""
+        words = [
+            random_word(8, 3, 801),
+            random_word(4, 8, 401),
+            random_word(8, 2, 805),
+            random_word(4, 8, 402),
+        ]
+        fresh = []
+        for w in words:
+            push_tables.cache_clear()
+            sss = super_summit_set(w)
+            fresh.append((sss.keys, sss.tree))
+        push_tables.cache_clear()
+        for w, expected in zip(words, fresh):
+            sss = super_summit_set(w)
+            assert (sss.keys, sss.tree) == expected
+        for n in (4, 8):
+            assert push_tables(n) and all(_is_table_key(n, key) for key in push_tables(n))
+
+    def test_no_table_keeps_more_than_the_cap(self, push_tables, monkeypatch):
+        """With the cap at 100 entries, walks that grow the B_5 table past
+        it, whether they run out, hit the summit-set cap or are stopped
+        early by are_conjugate, leave it emptied; a walk that stays under
+        the cap leaves its table as it was."""
+        monkeypatch.setattr(garside, "_PUSH_TABLE_CAP", 100)
+        table = push_tables(5)
+        sizes = []
+        step = _native.minimal_simples
+
+        def measured(n, p, flat, memo):
+            simples = step(n, p, flat, memo)
+            sizes.append(len(memo))
+            return simples
+
+        monkeypatch.setattr(_kernel, "minimal_simples", measured)
+        w = random_word(5, 6, 703)
+        a = concat(random_word(5, 3, 17), w, invert_word(random_word(5, 3, 17)))
+        walks = [
+            lambda: super_summit_set(w),
+            lambda: pytest.raises(ResourceLimitError, super_summit_set, w, 20),
+            lambda: are_conjugate(w, a),
+        ]
+        steps = []
+        for walk in walks:
+            sizes.clear()
+            assert walk()
+            assert max(sizes) > 100 and len(table) <= 100
+            steps.append(len(sizes))
+        assert steps[0] > max(steps[1:])
+        super_summit_set(random_word(4, 8, 401))
+        kept = dict(push_tables(4))
+        assert 0 < len(kept) <= 100
+        super_summit_set(random_word(4, 8, 401))
+        assert push_tables(4) == kept
+
+
 class TestAreConjugate:
     def test_generators_are_conjugate(self):
         cert = are_conjugate(BraidWord(3, (1,)), BraidWord(3, (2,)))
