@@ -38,7 +38,9 @@ simple; ``_complement`` gives it, flipped or not, and ``_inverse``
 inverts a whole normal form with it. These three are the package's one
 Python flip, complement and inverse: the Garside layer uses them too, to
 move Delta powers, flip summit elements, invert keys and build its
-letter table.
+letter table. So are B_n's identity row and Delta row (``_id_flat``,
+``_w0_flat``, which ``_flip_table`` pads to 256 bytes) and a
+permutation's inverse (``_inv_flat``).
 """
 
 from __future__ import annotations
@@ -94,8 +96,7 @@ def _left_weight(n: int, delta: int, flat: bytes, start: int) -> tuple[int, byte
             if not moves:
                 break
             b = a
-    w0 = _flip_table(n)[:n]
-    identity = w0[::-1]
+    w0, identity = _w0_flat(n), _id_flat(n)
     lo, hi = 0, len(buf)
     while buf.startswith(w0, lo):
         lo += n
@@ -110,9 +111,29 @@ def normalize(n: int, delta: int, flat: bytes) -> tuple[int, bytes]:
 
 
 @functools.lru_cache(maxsize=None)
+def _id_flat(n: int) -> bytes:
+    """The identity row of B_n."""
+    return bytes(range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _w0_flat(n: int) -> bytes:
+    """The Delta row of B_n: k -> n-1-k."""
+    return bytes(range(n - 1, -1, -1))
+
+
+@functools.lru_cache(maxsize=None)
 def _flip_table(n: int) -> bytes:
-    """The translate table of v -> n-1-v."""
-    return bytes(range(n - 1, -1, -1)).ljust(256, b"\0")
+    """The translate table of v -> n-1-v: the Delta row padded to 256 bytes."""
+    return _w0_flat(n).ljust(256, b"\0")
+
+
+def _inv_flat(perm: bytes) -> bytes:
+    """The inverse permutation: the position of each value."""
+    inv = bytearray(len(perm))
+    for k, v in enumerate(perm):
+        inv[v] = k
+    return bytes(inv)
 
 
 def _tau_flat(n: int, flat: bytes) -> bytes:
@@ -149,10 +170,8 @@ def _complement(n: int, s: bytes, odd: int) -> bytes:
     permutation t -> s^-1(n-1-t); its flip tau(Delta s^-1) is
     t -> n-1-s^-1(t).
     """
-    inv = bytearray(n)
-    for t in range(n):
-        inv[s[t]] = t
-    return bytes(inv.translate(_flip_table(n)) if odd else inv[::-1])
+    inv = _inv_flat(s)
+    return inv.translate(_flip_table(n)) if odd else inv[::-1]
 
 
 def _inverse(n: int, p: int, flat: bytes) -> tuple[int, bytes]:
@@ -193,9 +212,7 @@ def _inversions(perm: bytes) -> int:
     """The position-inversion set of a simple element as a bitmask: bit
     i*n + j is set iff i < j and perm[i] > perm[j]."""
     n = len(perm)
-    positions = bytearray(n)
-    for k, v in enumerate(perm):
-        positions[v] = k
+    positions = _inv_flat(perm)
     below = [0] * n  # below[v]: the positions of the values under v
     mask = 0
     for v, pos in enumerate(positions):
@@ -278,7 +295,7 @@ def minimal_simples(n: int, p: int, flat: bytes, memo: dict) -> list[bytes]:
     few simple elements at vertex after vertex, and the caller keeps one
     memo per strand count across walks. The C twin ignores it.
     """
-    identity = bytes(range(n))
+    identity = _id_flat(n)
     sides = [
         (q % 2, [f[off : off + n] for off in range(0, len(f), n)])
         for q, f in ((p, flat), _inverse(n, p, flat))

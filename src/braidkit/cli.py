@@ -44,24 +44,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf", help="left normal form of a word")
     p.add_argument("word")
+    p.set_defaults(handler=_cmd_nf)
 
     p = sub.add_parser("eq", help="decide equality of two words")
     p.add_argument("left")
     p.add_argument("right")
+    p.set_defaults(handler=_cmd_eq)
 
     p = sub.add_parser("conj", help="decide conjugacy; print a certificate")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--max-sss", type=int, default=DEFAULT_SSS_LIMIT)
+    p.set_defaults(handler=_cmd_conj)
 
     p = sub.add_parser("embed", help="embed a word into a larger braid group")
     p.add_argument("word")
     p.add_argument("n", type=int)
     p.add_argument("--conjugator", help="conjugating word in the target group")
+    p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("classify", help="periodic / reducible / pseudo-anosov")
     p.add_argument("word")
     p.add_argument("--max-sss", type=int, default=DEFAULT_SSS_LIMIT)
+    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("verify-nonmerging", help="conjugacy verdicts must agree across embedding")
     p.add_argument("--m", type=int, required=True)
@@ -80,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include wall-clock times in records/json output (breaks byte reproducibility)",
     )
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("boundary-suite", help="boundary curve and torsion checks for embeddings")
     p.add_argument("--m", type=int, required=True)
@@ -88,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--maxlen", type=int, default=10)
     p.add_argument("--format", choices=("text", "records", "json"), default="text")
+    p.set_defaults(handler=_cmd_boundary)
 
     return parser
 
@@ -140,44 +147,27 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     given = vars(args)
     names = [field.name for field in dataclasses.fields(SuiteConfig)]
-    cfg = SuiteConfig(**{name: given[name] for name in names if name in given})
-    return _write_report(args, harness.verify_nonmerging(cfg))
+    summary = harness.verify_nonmerging(
+        SuiteConfig(**{name: given[name] for name in names if name in given})
+    )
+    if args.format == "text":
+        # The text format always shows the decision times.
+        sys.stdout.write(harness.render_text(summary))
+    else:
+        render = harness.render_records if args.format == "records" else harness.render_json
+        sys.stdout.write(render(summary, include_times=args.times))
+    return summary.exit_code
 
 
 def _cmd_boundary(args) -> int:
     summary = harness.boundary_suite(args.m, args.n, args.trials, args.seed, maxlen=args.maxlen)
-    return _write_report(args, summary)
-
-
-_RENDERERS = {
-    ("verify-nonmerging", "text"): harness.render_text,
-    ("verify-nonmerging", "records"): harness.render_records,
-    ("verify-nonmerging", "json"): harness.render_json,
-    ("boundary-suite", "text"): harness.render_boundary_text,
-    ("boundary-suite", "records"): harness.render_boundary_records,
-    ("boundary-suite", "json"): harness.render_boundary_json,
-}
-
-
-def _write_report(args, summary) -> int:
-    render = _RENDERERS[args.command, args.format]
-    # --times exists only for verify-nonmerging; its text format always shows times.
-    if getattr(args, "times", False) and args.format != "text":
-        sys.stdout.write(render(summary, include_times=True))
-    else:
-        sys.stdout.write(render(summary))
+    render = {
+        "text": harness.render_boundary_text,
+        "records": harness.render_boundary_records,
+        "json": harness.render_boundary_json,
+    }[args.format]
+    sys.stdout.write(render(summary))
     return summary.exit_code
-
-
-_COMMANDS = {
-    "nf": _cmd_nf,
-    "eq": _cmd_eq,
-    "conj": _cmd_conj,
-    "embed": _cmd_embed,
-    "classify": _cmd_classify,
-    "verify-nonmerging": _cmd_verify,
-    "boundary-suite": _cmd_boundary,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -190,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -233,13 +233,7 @@ def round_span(c: CurveClass) -> tuple[int, int] | None:
 def preserves_curve_class(w: BraidWord, c: CurveClass, max_letters: int | None = None) -> bool:
     """True iff the image of the class under ``w`` is the class itself,
     as unoriented curves (the image may match the inverse)."""
-    if w.strands != c.rank:
-        raise ValueError(f"rank mismatch: word on {w.strands} strands, curve rank {c.rank}")
-    image = artin_action(w, c.representative, max_letters=max_letters)
-    reduced = _cyclic_reduce(image.letters)
-    if len(reduced) != len(c.representative.letters):
-        return False
-    return _canonical_cycle(reduced) == c.representative.letters
+    return image_curve_class(w, c, max_letters) == c
 
 
 def image_curve_class(w: BraidWord, c: CurveClass, max_letters: int | None = None) -> CurveClass:

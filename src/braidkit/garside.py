@@ -51,7 +51,7 @@ from collections import deque
 from typing import Callable, Iterator
 
 from . import _kernel
-from ._native import _complement, _inverse, _tau_flat
+from ._native import _complement, _id_flat, _inv_flat, _inverse, _tau_flat, _w0_flat
 from .words import (
     BraidWord,
     Permutation,
@@ -108,23 +108,6 @@ class ResourceLimitError(Exception):
 
 
 # -- permutation helpers on the 0-based flat layout ---------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _id_flat(n: int) -> bytes:
-    return bytes(range(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _w0_flat(n: int) -> bytes:
-    return bytes(n - 1 - t for t in range(n))
-
-
-def _inv_flat(perm: bytes) -> bytes:
-    inv = bytearray(len(perm))
-    for k, v in enumerate(perm):
-        inv[v] = k
-    return bytes(inv)
 
 
 def _descents(perm: bytes) -> frozenset[int]:
@@ -434,12 +417,6 @@ def _mul(n: int, x: _NfKey, y: _NfKey) -> _NfKey:
     return _kernel.multiply(n, x[0], x[1], y[0], y[1])
 
 
-def _inv(n: int, x: _NfKey) -> _NfKey:
-    """The key of x^-1, already a normal form (_native._inverse). For a
-    canonical factor s that is (-1, Delta s^-1)."""
-    return _inverse(n, *x)
-
-
 def _powers(n: int, x: _NfKey, top: int) -> list[_NfKey]:
     """Keys of x^1, ..., x^top, each the product of the one before and x."""
     powers = [x]
@@ -546,7 +523,7 @@ def _drive_to_summit(n: int, key: _NfKey) -> _KeyPair:
     track: _NfKey = (0, b"")
     bound = max(1, n * (n - 1) // 2)
     phases = (
-        (_cycle_key, lambda x: -x[0], lambda u: _inv(n, (0, u))),
+        (_cycle_key, lambda x: -x[0], lambda u: _inverse(n, 0, u)),
         # A canonical factor is its own normal form.
         (_decycle_key, lambda x: x[0] + len(x[1]), lambda u: (0, u)),
     )
@@ -690,7 +667,7 @@ def _along_tree(tree: _Tree, known: dict, key: _NfKey, step: Callable):
 
 
 def _edge_track(n: int, s: bytes, track: _NfKey) -> _NfKey:
-    return _mul(n, _inv(n, (0, s)), track)
+    return _mul(n, _inverse(n, 0, s), track)
 
 
 def _edge_permutation(s: bytes, perm: bytes) -> bytes:
@@ -699,7 +676,7 @@ def _edge_permutation(s: bytes, perm: bytes) -> bytes:
 
 def _verify_track(n: int, w_key: _NfKey, key: _NfKey, track: _NfKey) -> None:
     """Raise unless track * w * track^-1 is the element ``key``."""
-    if _mul(n, _mul(n, track, w_key), _inv(n, track)) != key:
+    if _mul(n, _mul(n, track, w_key), _inverse(n, *track)) != key:
         raise RuntimeError("internal error: summit conjugator failed verification")
 
 
@@ -770,7 +747,7 @@ def are_conjugate(
     if b_summit not in _summit_closure(n, a_summit, max_sss, tree):
         return None
     found = _along_tree(tree, {a_summit: a_track}, b_summit, functools.partial(_edge_track, n))
-    certificate = ConjugacyCertificate(n, _mul(n, _inv(n, b_track), found))
+    certificate = ConjugacyCertificate(n, _mul(n, _inverse(n, *b_track), found))
     if not certificate.verifies(a, b):
         raise RuntimeError("internal error: conjugacy certificate failed verification")
     return certificate

@@ -64,6 +64,7 @@ from .garside import (
     DEFAULT_SSS_LIMIT,
     ConjugacyCertificate,
     ResourceLimitError,
+    _check_cap,
     are_conjugate,
     equal_words,
 )
@@ -108,6 +109,16 @@ class EmbeddingMergeError(Exception):
     """
 
 
+def _check_suite(m: int, n: int, trials: int, maxlen: int) -> None:
+    """Refuse the (m, n, trials, maxlen) that no suite can run."""
+    if not n > m >= 2:
+        raise ValueError(f"need n > m >= 2, got m={m}, n={n}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if maxlen < 0:
+        raise ValueError("maxlen must be >= 0")
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class SuiteConfig:
     """Configuration of a verify_nonmerging run."""
@@ -123,18 +134,12 @@ class SuiteConfig:
     max_skip_rate: float = 0.05
 
     def __post_init__(self):
-        if not self.n > self.m >= 2:
-            raise ValueError(f"need n > m >= 2, got m={self.m}, n={self.n}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.maxlen < 0:
-            raise ValueError("maxlen must be >= 0")
+        _check_suite(self.m, self.n, self.trials, self.maxlen)
         if not 0.0 <= self.conjugate_fraction <= 1.0:
             raise ValueError("conjugate_fraction must lie in [0, 1]")
         if self.general_conj_len is not None and self.general_conj_len < 0:
             raise ValueError("general_conj_len must be >= 0")
-        if self.max_sss < 1:
-            raise ValueError("max_sss must be >= 1")
+        _check_cap(self.max_sss)
         if not 0.0 <= self.max_skip_rate <= 1.0:
             raise ValueError("max_skip_rate must lie in [0, 1]")
 
@@ -444,12 +449,7 @@ def boundary_suite(
     """Check that embedded braids preserve the boundary curve of the
     embedded disc (the round curve around punctures 1..m) and that
     nontrivial embedded braids are never periodic."""
-    if not n > m >= 2:
-        raise ValueError(f"need n > m >= 2, got m={m}, n={n}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if maxlen < 0:
-        raise ValueError("maxlen must be >= 0")
+    _check_suite(m, n, trials, maxlen)
     boundary = curve_class_round(1, m, n)
     identity = BraidWord(m)
     reports = []

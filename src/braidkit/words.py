@@ -227,9 +227,10 @@ def random_letters(rng: SplitMix64, n: int, length: int) -> tuple[int, ...]:
     """Draw ``length`` letters for B_n, one ``rng`` draw per letter.
 
     Draw rule: ``r = rng.below(2 * (n - 1))``; the generator index is
-    ``r // 2 + 1`` and the sign is positive for even ``r``.
+    ``r // 2 + 1`` and the sign is positive for even ``r``. B_1 has no
+    letters, so it is refused only when ``length`` asks for some.
     """
-    if n < 2:
+    if n < 2 and length > 0:
         raise ValueError(f"random letters need at least 2 strands, got {n}")
     letters = []
     for _ in range(length):

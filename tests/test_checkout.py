@@ -64,13 +64,17 @@ def test_ci_keeps_src_free_of_ignored_files():
 
 
 def test_ci_builds_the_extension_with_setup_py():
-    """The CI workflow's last step builds the extension in place with
-    setup.py, after the clean-checkout check, and asserts that braidkit
-    then runs on the C backend."""
+    """After the clean-checkout check, the CI workflow builds the extension
+    in place with setup.py and asserts that braidkit then runs on the C
+    backend; its last step runs the benchmark's self-test on that build."""
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     build = "          python setup.py build_ext --inplace\n"
     check = """          PYTHONPATH=src python -c 'import braidkit; assert braidkit.backend_name() == "c"'\n"""
-    assert workflow.endswith(build + check)
+    selftest = (
+        "      - name: Benchmark self-test on the C backend\n"
+        "        run: python3 perfbench/selftest.py\n"
+    )
+    assert workflow.endswith(build + check + selftest)
     assert workflow.index("git status --porcelain") < workflow.index(build)
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from braidkit import _kernel, _native, concat, equal_words, invert_word, parse_word
+from braidkit import _kernel, _native, concat, equal_words, harness, invert_word, parse_word
 from braidkit.cli import main
 
 
@@ -142,6 +142,51 @@ class TestSuiteCommands:
         )
         assert code == 0
         assert json.loads(out)["summary"]["boundary_passes"] == 5
+
+
+class TestSuiteFormats:
+    """Every format of both suites prints exactly what the harness
+    renderer makes of the summary that the command ran, and exits with
+    that summary's code."""
+
+    VERIFY = (
+        "verify-nonmerging",
+        "--m", "2", "--n", "4", "--trials", "6", "--maxlen", "6", "--seed", "3",
+    )
+    BOUNDARY = ("boundary-suite", "--m", "2", "--n", "4", "--trials", "6", "--seed", "3")
+
+    @staticmethod
+    def summaries(monkeypatch, suite: str) -> list:
+        """The summaries that harness.<suite> returns from now on."""
+        ran = []
+        original = getattr(harness, suite)
+
+        def recorded(*args, **kwargs):
+            ran.append(original(*args, **kwargs))
+            return ran[-1]
+
+        monkeypatch.setattr(harness, suite, recorded)
+        return ran
+
+    @pytest.mark.parametrize(
+        "fmt, times",
+        [("text", False), ("records", False), ("records", True), ("json", False), ("json", True)],
+    )
+    def test_verify(self, capsys, monkeypatch, fmt, times):
+        ran = self.summaries(monkeypatch, "verify_nonmerging")
+        code, out, _ = run(capsys, *self.VERIFY, "--format", fmt, *(("--times",) if times else ()))
+        [summary] = ran
+        render = getattr(harness, f"render_{fmt}")
+        assert out == (render(summary, include_times=True) if times else render(summary))
+        assert code == summary.exit_code == 0
+
+    @pytest.mark.parametrize("fmt", ["text", "records", "json"])
+    def test_boundary(self, capsys, monkeypatch, fmt):
+        ran = self.summaries(monkeypatch, "boundary_suite")
+        code, out, _ = run(capsys, *self.BOUNDARY, "--format", fmt)
+        [summary] = ran
+        assert out == getattr(harness, f"render_boundary_{fmt}")(summary)
+        assert code == summary.exit_code == 0
 
 
 class TestUsageErrors:

@@ -40,7 +40,7 @@ from braidkit import (
     super_summit_set,
 )
 from braidkit import _kernel, _native, garside
-from braidkit._native import _tau_flat
+from braidkit._native import _inverse, _tau_flat
 from braidkit.garside import (
     DEFAULT_SSS_LIMIT,
     _assemble,
@@ -49,7 +49,6 @@ from braidkit.garside import (
     _drive_to_summit,
     _flip_edges,
     _flip_key,
-    _inv,
     _letter_items,
     _letters_to_factors,
     _mul,
@@ -823,14 +822,14 @@ class TestKeyInverse:
         for _ in range(600):
             n = rng.randint(2, 7)
             x = _word_key(random_word(n, rng.randint(0, 12), rng.randrange(2**32)))
-            inverse = _inv(n, x)
+            inverse = _inverse(n, *x)
             assert _kernel.normalize(n, *inverse) == inverse
             assert _mul(n, x, inverse) == (0, b"")
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_simple_inverses_need_no_normalization(self, n):
         """The summit walk, its tree and the drive to the summit invert one
-        canonical factor at a time, as (-1, Delta s^-1) from _inv with no
+        canonical factor at a time, as (-1, Delta s^-1) from _inverse with no
         kernel normalize: on every tree edge s and every cycling
         conjugator u of seeded summit sets, that key is the kernel's normal
         form of Delta^-1 (Delta s^-1)."""
@@ -849,7 +848,7 @@ class TestKeyInverse:
         assert len(simples) >= min(10, math.factorial(n) - 2)
         for s in simples:
             complement = bytes(s.index(t) for t in range(n))[::-1]
-            assert _inv(n, (0, s)) == (-1, complement) == _kernel.normalize(n, -1, complement)
+            assert _inverse(n, 0, s) == (-1, complement) == _kernel.normalize(n, -1, complement)
 
 
 class TestPermutationOfKey:
@@ -891,7 +890,7 @@ class TestDriveToSummit:
             key, track = _drive_to_summit(n, w_key)
             assert (key[0], key[0] + len(key[1])) == self.bound_only(n, w_key)
             assert key in dict(super_summit_set(w).pairs)
-            assert _mul(n, _mul(n, track, w_key), _inv(n, track)) == key
+            assert _mul(n, _mul(n, track, w_key), _inverse(n, *track)) == key
 
 
 class TestMinimalSimples:

@@ -17,6 +17,7 @@ from braidkit import (
     invert_word,
     parse_word,
     permutation_of_word,
+    random_letters,
     random_word,
 )
 
@@ -140,8 +141,18 @@ class TestRandomWord:
         assert {l > 0 for l in w.letters} == {True, False}
 
     def test_too_few_strands(self):
-        with pytest.raises(ValueError):
-            random_word(1, 5, 0)
+        for length in (1, 5):
+            with pytest.raises(ValueError, match="at least 2 strands"):
+                random_word(1, length, 0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_zero_letters_in_b1(self, seed):
+        """B_1 has only the empty word, and drawing it takes nothing
+        from the stream."""
+        assert random_word(1, 0, seed) == BraidWord(1)
+        rng = SplitMix64(seed)
+        assert random_letters(rng, 1, 0) == ()
+        assert rng.state == SplitMix64(seed).state
 
 
 class TestTextFormat:
