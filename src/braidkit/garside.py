@@ -213,7 +213,9 @@ class NormalForm:
 
     def word(self) -> BraidWord:
         """A braid word for this element: Delta-power letters followed by
-        one reduced word per factor."""
+        one reduced word per factor when delta_power >= 0, and the mixed
+        normal form D^-1 P, a negative word then a positive one, when it is
+        negative (_word_of_key)."""
         return BraidWord(self.strands, _word_of_key(self.strands, _key_of_nf(self)))
 
     def __str__(self) -> str:
@@ -233,7 +235,9 @@ class ConjugacyCertificate:
 
     @property
     def conjugator(self) -> BraidWord:
-        """A word for c, spelled from the key on each read."""
+        """A word for c, spelled from the key on each read by
+        _word_of_key: D^-1 P when c's Delta power is negative, so
+        verifies normalizes no Delta^-1 that the factors would cancel."""
         return BraidWord(self.strands, _word_of_key(self.strands, self.key))
 
     def verifies(self, a: BraidWord, b: BraidWord) -> bool:
@@ -388,16 +392,27 @@ def _nf_public(n: int, key: _NfKey) -> NormalForm:
 
 
 def _word_of_key(n: int, key: _NfKey) -> tuple[int, ...]:
+    """The package's one word for a key Delta^p A_1..A_l.
+
+    For p >= 0: p Delta words, then one reduced word per factor. For
+    p < 0, the mixed normal form D^-1 P: with m = min(-p, l), the
+    denominator D = (Delta^p A_1..A_m)^-1 is positive (_inverse gives
+    it as Delta^(-p-m) and m complements), so the word is the inverse of
+    D's positive word followed by the numerator P = A_(m+1)..A_l. Each
+    of the first m factors costs the letters of its complement instead
+    of a whole Delta^-1 plus its own. The word is freely reduced: D^-1
+    is negative, P positive, and where they meet D's first factor, the
+    right complement of A_m, starts with no letter that A_(m+1) starts
+    with, since A_m | A_(m+1) is left-weighted."""
     p, flat = key
-    letters: list[int] = []
     if p >= 0:
-        letters.extend(_delta_letters(n) * p)
-    else:
-        inverse_delta = tuple(-i for i in reversed(_delta_letters(n)))
-        letters.extend(inverse_delta * (-p))
-    for off in range(0, len(flat), n):
-        letters.extend(_simple_letters(n, flat[off : off + n]))
-    return tuple(letters)
+        letters = list(_delta_letters(n) * p)
+        for off in range(0, len(flat), n):
+            letters.extend(_simple_letters(n, flat[off : off + n]))
+        return tuple(letters)
+    cut = min(-p, len(flat) // n) * n
+    denominator = _word_of_key(n, _inverse(n, p, flat[:cut]))
+    return tuple(-i for i in reversed(denominator)) + _word_of_key(n, (0, flat[cut:]))
 
 
 def _permutation_of_key(n: int, key: _NfKey) -> bytes:

@@ -66,15 +66,20 @@ def test_ci_keeps_src_free_of_ignored_files():
 def test_ci_builds_the_extension_with_setup_py():
     """After the clean-checkout check, the CI workflow builds the extension
     in place with setup.py and asserts that braidkit then runs on the C
-    backend; its last step runs the benchmark's self-test on that build."""
+    backend; on that build it runs the README and CLI tests again, and
+    last the benchmark's self-test."""
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     build = "          python setup.py build_ext --inplace\n"
     check = """          PYTHONPATH=src python -c 'import braidkit; assert braidkit.backend_name() == "c"'\n"""
+    words = (
+        "      - name: README and CLI tests on the C backend\n"
+        "        run: PYTHONPATH=src python -m pytest -q tests/test_readme.py tests/test_cli.py\n"
+    )
     selftest = (
         "      - name: Benchmark self-test on the C backend\n"
         "        run: python3 perfbench/selftest.py\n"
     )
-    assert workflow.endswith(build + check + selftest)
+    assert workflow.endswith(build + check + words + selftest)
     assert workflow.index("git status --porcelain") < workflow.index(build)
 
 

@@ -9,7 +9,8 @@ conjugators shows up here. For the larger samples the witness
 ``(kind, span, power)``, which depends only on the summit elements, and
 the conjugator, which is the track of the closure's walk to the witness
 element, are pinned apart: the first must never change, the second was
-re-pinned when the closure moved to minimal simple elements. Every word
+re-pinned when the closure moved to minimal simple elements, and when
+keys with a negative Delta power came to be spelled as D^-1 P. Every word
 of the sample classifies in under a second on the pure-Python backend.
 """
 
@@ -109,7 +110,7 @@ def test_embedded_b3_words():
     assert {row[0] for row in rows} == {"reducible"}
     assert _digests(rows) == (
         "91caa77feba1c045b4d2d71166a1d8486ac29aea9d481a7541f50c7c8ba4c6d6",
-        "4f7a866b0ded8acd6b8bdb8600f70aee7d1e24e9539d6eb29a7a74394012999e",
+        "e55f87f0cc86609d12aa37721a13d92b1f63674ceaa1b5d333050ed4d2be3263",
     )
 
 
@@ -119,7 +120,7 @@ def test_conjugated_b4_words():
     assert [row[2] for row in rows[-2:]] == [2, 2]
     assert _digests(rows) == (
         "36b24f2255d9b87f8adda4891126bd6aaf25462534e5c5367003890d5e64c8fa",
-        "6b1ef1b7ec88f05d841e2a00752bef73710f3d10ffc10b69bdaaef9c4a12de69",
+        "1b18422a9e3e12d758e5a496a5167c45ca886fe96d82c687fc02afec0273dd88",
     )
 
 

@@ -42,6 +42,12 @@ class TestOneShotCommands:
         assert lines[0] == "conjugate"
         assert lines[1].startswith("3:")
 
+    def test_conj_prints_the_mixed_word(self, capsys):
+        # The certificate's key is Delta^-1 sigma_1; its word is D^-1 with
+        # D = sigma_2 sigma_1, two letters in place of four.
+        code, out, _ = run(capsys, "conj", "3: 1", "3: 2")
+        assert (code, out) == (0, "conjugate\n3: -1 -2\n")
+
     def test_conj_wide_group(self, capsys):
         # The summit closure takes at most n-1 conjugations per vertex;
         # trying every simple element of B_12 would take 479M of them.

@@ -313,7 +313,8 @@ class TestSuperSummitSet:
         never change. The conjugator hash follows the closure's walk
         order, because a conjugator is the track of the path that first
         reached its element; it was re-pinned when the closure moved to
-        minimal simple elements."""
+        minimal simple elements, and when keys with a negative Delta
+        power came to be spelled as D^-1 P (garside._word_of_key)."""
         elements, conjugators = [], []
         for n, length in ((3, 8), (4, 8), (5, 6)):
             for seed in range(10):
@@ -323,7 +324,7 @@ class TestSuperSummitSet:
         digest = hashlib.sha256(repr(elements).encode()).hexdigest()
         assert digest == "84e34035c221935412dfa6d5b37d5862c20aacd097cd1412385eb7594a117e6e"
         digest = hashlib.sha256(repr(conjugators).encode()).hexdigest()
-        assert digest == "b1662930090b5c04f142a29d663aac92e878732445694299ca56dc17d2073d35"
+        assert digest == "bd1e8f9bdfc470bc200d846a335c61c2892dce297ad271eb80901124aaba4466"
 
     def test_pairs_and_equality(self):
         """On the golden words, the (element, conjugator) key pairs are
@@ -849,6 +850,69 @@ class TestKeyInverse:
         for s in simples:
             complement = bytes(s.index(t) for t in range(n))[::-1]
             assert _inverse(n, 0, s) == (-1, complement) == _kernel.normalize(n, -1, complement)
+
+
+def _crossings(perm: bytes) -> int:
+    """Letters in a reduced word of a simple element: its inversions."""
+    return sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+
+
+def _spelled_keys(seed: int, count: int):
+    """(n, key, case) for seeded keys of B_1..B_7, the Delta power p set
+    against the factor count l so that each case occurs: p >= 0,
+    0 < -p < l, -p == l, -p > l and l == 0. B_1 has one key, the
+    identity (its Delta is trivial); B_2 has no canonical factor."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        if n == 1:
+            yield n, (0, b""), "l=0"
+            continue
+        flat = _word_key(random_word(n, rng.randint(0, 16), rng.randrange(2**32)))[1]
+        l = len(flat) // n
+        p = rng.choice([rng.randint(0, 3), -rng.randint(1, max(l - 1, 1)), -l, -l - rng.randint(1, 3)])
+        if l == 0:
+            case = "l=0"
+        elif p >= 0:
+            case = "p>=0"
+        else:
+            case = "-p<l" if -p < l else "-p=l" if -p == l else "-p>l"
+        yield n, (p, flat), case
+
+
+class TestWordOfKey:
+    """The package's one speller: Delta^p A_1..A_l for p >= 0, and the
+    mixed normal form D^-1 P for p < 0, where D = (Delta^p A_1..A_m)^-1,
+    m = min(-p, l), and P = A_(m+1)..A_l."""
+
+    @staticmethod
+    def expected_length(n: int, key: tuple[int, bytes]) -> int:
+        p, flat = key
+        half = n * (n - 1) // 2
+        factors = [_crossings(flat[off : off + n]) for off in range(0, len(flat), n)]
+        if p >= 0:
+            return p * half + sum(factors)
+        m = min(-p, len(factors))
+        return half * (-p - m) + sum(half - a for a in factors[:m]) + sum(factors[m:])
+
+    def test_spells_each_key_freely_reduced_at_its_length(self):
+        cases = set()
+        for n, key, case in _spelled_keys(26, 3000):
+            letters = _word_of_key(n, key)
+            assert _nf_of_word(BraidWord(n, letters)) == key, (n, key)
+            assert all(x != -y for x, y in zip(letters, letters[1:])), (n, key, letters)
+            assert len(letters) == self.expected_length(n, key), (n, key, letters)
+            cases.add(case)
+        assert cases == {"p>=0", "-p<l", "-p=l", "-p>l", "l=0"}
+
+    def test_small_cases(self):
+        """Delta^-1 sigma_1 in B_3 is (sigma_2 sigma_1)^-1; Delta^-2 in B_3
+        is two Delta^-1 words; Delta^-1 A with A = sigma_2 sigma_1 is the
+        inverse of its right complement A^-1 Delta = sigma_2."""
+        assert _word_of_key(3, (-1, bytes([1, 0, 2]))) == (-1, -2)
+        assert _word_of_key(3, (-2, b"")) == (-1, -2, -1) * 2
+        assert _word_of_key(3, (-1, bytes([1, 2, 0]))) == (-2,)
+        assert _word_of_key(3, (1, bytes([0, 2, 1]))) == (1, 2, 1, 2)
 
 
 class TestPermutationOfKey:

@@ -11,11 +11,21 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import re
 
 import pytest
 
-from braidkit import SuiteConfig, boundary_suite, verify_nonmerging
+from braidkit import (
+    SuiteConfig,
+    boundary_suite,
+    concat,
+    embed_standard,
+    equal_words,
+    invert_word,
+    parse_word,
+    verify_nonmerging,
+)
 from braidkit.cli import main
 from braidkit.harness import (
     render_boundary_json,
@@ -57,7 +67,7 @@ EXPECTED = {
     ("general", "json"): "a6648d65bd5abd59ffb1f2435dd5e8298706d606368bbda342b6245d8d9b142b",
     ("general", "text"): "b13d23c7b866a3f935564b17bd4f1a031e634ed80b463ad6edcae90a66dda9ad",
     ("skips", "records"): "e8b960d559c39d6df0579e2a56393b3f5e403a567bdb2b70224bb742dc21f57c",
-    ("skips", "json"): "070e6571b17932c4d238cbddc90e59b61907ca46c255a00e8ed6e61bbc626fe3",
+    ("skips", "json"): "00ccde3bb831be0932e1f2c6b9fa3b9ea18bd6f39552a6ebdafa40e1fc31b69f",
     ("skips", "text"): "d8508201fd94284ce49adc53ac563c692141c3712384491c79ff80a7d69f17f7",
     ("boundary", "boundary-records"):
         "4a61c277325b5161d051ea5bd26edacb7da2c312aba8c7c7c627abbe89157782",
@@ -77,6 +87,30 @@ def _summary(suite):
 def test_report_bytes(suite, fmt):
     text = RENDERERS[fmt](_summary(suite))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED[suite, fmt], text
+
+
+@pytest.mark.parametrize("suite", ["plain", "general", "skips"])
+def test_json_conjugators_verify(suite):
+    """Every conjugator the pinned verify suites print conjugates its
+    pair: c * a * c^-1 = b for conjugator_m and lifted_witness, and the
+    same for the standard images in B_n for conjugator_n. A re-pin of the
+    json hashes above thus rests on a check, not only on a hash."""
+    document = json.loads(render_json(_summary(suite)))
+    n = document["config"]["n"]
+    checked = 0
+    for trial in document["trials"]:
+        a, b = parse_word(trial["a"]), parse_word(trial["b"])
+        pairs = {
+            "conjugator_m": (a, b),
+            "lifted_witness": (a, b),
+            "conjugator_n": (embed_standard(a, n), embed_standard(b, n)),
+        }
+        for field, (x, y) in pairs.items():
+            if trial[field] is not None:
+                c = parse_word(trial[field])
+                assert equal_words(concat(c, x, invert_word(c)), y), (trial["trial"], field)
+                checked += 1
+    assert checked > 0
 
 
 # Command lines that run the "plain" and "boundary" suites above.
