@@ -480,12 +480,15 @@ def is_delta_power(w: BraidWord) -> int | None:
 
 def _cycle_key(n: int, key: _NfKey) -> tuple[_NfKey, bytes]:
     """One cycling step: returns the new key and the simple element u the
-    input was conjugated by (result = u^-1 x u, u = tau^-p(A_1))."""
+    input was conjugated by (result = u^-1 x u, u = tau^-p(A_1)).
+
+    The result is Delta^p A_2..A_l u. A suffix of a normal form is a
+    normal form, so only u slides into it (multiply); the kernel leaves
+    A_2..A_l as they are."""
     p, flat = key
     first = flat[:n]
     u = _tau_flat(n, first) if p % 2 else first
-    new = _kernel.normalize(n, p, flat[n:] + u)
-    return new, u
+    return _kernel.multiply(n, p, flat[n:], 0, u), u
 
 
 def _decycle_key(n: int, key: _NfKey) -> tuple[_NfKey, bytes]:
@@ -527,28 +530,34 @@ def _drive_to_summit(n: int, key: _NfKey) -> _KeyPair:
     """Cycle until inf stops rising, then decycle until sup stops falling.
 
     Each phase is a step, a score to lower (-inf, then sup) and the
-    conjugator of a step's simple element u: cycling conjugates by u^-1,
-    decycling by u. Stop rule: n(n-1)/2 consecutive steps without
-    improvement declare the current value extremal. A step is
-    deterministic, so a key that recurs since the last improvement closes
-    an orbit that cannot improve, and ends the phase at once. ``track``,
-    from the identity on, keeps track * w * track^-1 equal to the current
-    key.
+    factor that a step's simple element u appends to the inverse of the
+    conjugator: cycling conjugates by u^-1, so it appends u, and
+    decycling conjugates by u, so it appends u^-1. Stop rule: n(n-1)/2
+    consecutive steps without improvement declare the current value
+    extremal. A step is deterministic, so a key that recurs since the
+    last improvement closes an orbit that cannot improve, and ends the
+    phase at once.
+
+    The track, with track * w * track^-1 equal to the current key, is
+    kept as its inverse, from the identity on: a product on the right
+    slides only the new factor into a normal form, where a product on
+    the left would slide the whole track again at every step. It is
+    inverted once, at the end.
     """
-    track: _NfKey = (0, b"")
+    inverse_track: _NfKey = (0, b"")
     bound = max(1, n * (n - 1) // 2)
     phases = (
-        (_cycle_key, lambda x: -x[0], lambda u: _inverse(n, 0, u)),
         # A canonical factor is its own normal form.
-        (_decycle_key, lambda x: x[0] + len(x[1]), lambda u: (0, u)),
+        (_cycle_key, lambda x: -x[0], lambda u: (0, u)),
+        (_decycle_key, lambda x: x[0] + len(x[1]), lambda u: _inverse(n, 0, u)),
     )
-    for step, score, conjugator in phases:
+    for step, score, appended in phases:
         fails = 0
         orbit = {key}
         while key[1] and fails < bound:
             old = score(key)
             key, u = step(n, key)
-            track = _mul(n, conjugator(u), track)
+            inverse_track = _mul(n, inverse_track, appended(u))
             if score(key) < old:
                 fails = 0
                 orbit.clear()
@@ -557,7 +566,7 @@ def _drive_to_summit(n: int, key: _NfKey) -> _KeyPair:
             else:
                 fails += 1
             orbit.add(key)
-    return key, track
+    return key, _inverse(n, *inverse_track)
 
 
 def _flip_edges(n: int, edges: list[tuple[bytes, _NfKey]]) -> list[tuple[bytes, _NfKey]]:
@@ -740,6 +749,11 @@ def are_conjugate(
     first; then both words are driven to their summits, whose (inf, sup)
     must agree; the verdict is membership of b's summit representative in
     the summit closure of a's, which doubles as the conjugator search.
+    The certificate is re-checked before it is returned: the word
+    c a c^-1, with c spelled from the certificate's key, must normalize
+    to b's key, the one computed above to drive b to its summit, so each
+    decision normalizes a, b and that word once each. The equation is
+    ConjugacyCertificate.verifies, without normalizing b a second time.
     Raises ValueError when ``max_sss`` < 1 or the strand count is beyond
     the kernel's limit, whatever the invariants say, and
     ResourceLimitError when the closure outgrows ``max_sss`` before
@@ -755,7 +769,8 @@ def are_conjugate(
     if permutation_of_word(a).cycle_type() != permutation_of_word(b).cycle_type():
         return None
     a_summit, a_track = _drive_to_summit(n, _nf_of_word(a))
-    b_summit, b_track = _drive_to_summit(n, _nf_of_word(b))
+    b_key = _nf_of_word(b)
+    b_summit, b_track = _drive_to_summit(n, b_key)
     if a_summit[0] != b_summit[0] or len(a_summit[1]) != len(b_summit[1]):
         return None
     tree: _Tree = {}
@@ -763,6 +778,7 @@ def are_conjugate(
         return None
     found = _along_tree(tree, {a_summit: a_track}, b_summit, functools.partial(_edge_track, n))
     certificate = ConjugacyCertificate(n, _mul(n, _inverse(n, *b_track), found))
-    if not certificate.verifies(a, b):
+    c = certificate.conjugator
+    if _nf_of_word(concat(c, a, invert_word(c))) != b_key:
         raise RuntimeError("internal error: conjugacy certificate failed verification")
     return certificate

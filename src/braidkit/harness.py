@@ -247,34 +247,43 @@ class VerifySummary:
 
     @property
     def skip_rate(self) -> float:
-        return self.skipped / len(self.reports) if self.reports else 0.0
+        return self._summary()["skip_rate"]
 
     @property
     def violations(self) -> int:
-        """Trials that break the property; theorem violations are already
-        among the inconsistent ones."""
-        return self.inconsistent + self.general_mismatches
+        return _violations(self.tallies)
 
     @property
     def exit_code(self) -> int:
-        if self.violations:
-            return 1
-        if self.skip_rate > self.config.max_skip_rate:
-            return 3
-        return 0
+        return self._summary()["exit_code"]
+
+    def _summary(self) -> dict:
+        """The document's summary: the tallies, counted once, and the skip
+        rate and exit code read off them."""
+        tallies = self.tallies
+        trials = len(self.reports)
+        skip_rate = tallies["skipped"] / trials if trials else 0.0
+        if _violations(tallies):
+            exit_code = 1
+        elif skip_rate > self.config.max_skip_rate:
+            exit_code = 3
+        else:
+            exit_code = 0
+        return {"trials": trials, **tallies, "skip_rate": skip_rate, "exit_code": exit_code}
 
     def document(self) -> dict:
         """The report every format is rendered from, times included."""
         return {
             "config": dataclasses.asdict(self.config),
             "trials": [_trial_document(r) for r in self.reports],
-            "summary": {
-                "trials": len(self.reports),
-                **self.tallies,
-                "skip_rate": self.skip_rate,
-                "exit_code": self.exit_code,
-            },
+            "summary": self._summary(),
         }
+
+
+def _violations(tallies: dict[str, int]) -> int:
+    """Trials that break the property; theorem violations are already
+    among the inconsistent ones."""
+    return tallies["inconsistent"] + tallies["general_mismatches"]
 
 
 def generate_pair(cfg: SuiteConfig, trial: int) -> tuple[BraidWord, BraidWord, str]:
@@ -420,7 +429,19 @@ class BoundarySummary:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.failures else 0
+        return self._summary()["exit_code"]
+
+    def _summary(self) -> dict:
+        """The document's summary, with the failures listed once."""
+        failures = self.failures
+        return {
+            **self.tallies,
+            "failures": [
+                {"trial": trial, "word": format_word(word), "what": what}
+                for trial, word, what in failures
+            ],
+            "exit_code": 1 if failures else 0,
+        }
 
     def document(self) -> dict:
         """The report every format is rendered from."""
@@ -432,14 +453,7 @@ class BoundarySummary:
                 "seed": self.seed,
                 "maxlen": self.maxlen,
             },
-            "summary": {
-                **self.tallies,
-                "failures": [
-                    {"trial": trial, "word": format_word(word), "what": what}
-                    for trial, word, what in self.failures
-                ],
-                "exit_code": self.exit_code,
-            },
+            "summary": self._summary(),
         }
 
 

@@ -66,8 +66,8 @@ def test_ci_keeps_src_free_of_ignored_files():
 def test_ci_builds_the_extension_with_setup_py():
     """After the clean-checkout check, the CI workflow builds the extension
     in place with setup.py and asserts that braidkit then runs on the C
-    backend; on that build it runs the README and CLI tests again, and
-    last the benchmark's self-test."""
+    backend; on that build it runs the README and CLI tests again, then
+    the Garside and suite tests, and last the benchmark's self-test."""
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     build = "          python setup.py build_ext --inplace\n"
     check = """          PYTHONPATH=src python -c 'import braidkit; assert braidkit.backend_name() == "c"'\n"""
@@ -75,11 +75,15 @@ def test_ci_builds_the_extension_with_setup_py():
         "      - name: README and CLI tests on the C backend\n"
         "        run: PYTHONPATH=src python -m pytest -q tests/test_readme.py tests/test_cli.py\n"
     )
+    engine = (
+        "      - name: Garside and suite tests on the C backend\n"
+        "        run: PYTHONPATH=src python -m pytest -q tests/test_garside.py tests/test_harness.py\n"
+    )
     selftest = (
         "      - name: Benchmark self-test on the C backend\n"
         "        run: python3 perfbench/selftest.py\n"
     )
-    assert workflow.endswith(build + check + words + selftest)
+    assert workflow.endswith(build + check + words + engine + selftest)
     assert workflow.index("git status --porcelain") < workflow.index(build)
 
 

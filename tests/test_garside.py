@@ -373,11 +373,13 @@ class TestSuperSummitSet:
     def test_multiply_counts(self, monkeypatch):
         """Exact kernel products for a 62-element set, which show that
         neither len() nor classify builds the conjugator pairs. The set
-        takes 136: 12 conjugator products while driving w to the summit,
-        2 to verify the seed's conjugator, 2 per edge for the other 61
-        elements. Reading pairs adds 185: 61 conjugator products and 2
-        verification products per element. classify takes 205: 3 for the
-        powers in is_periodic, the set's 136, and powers up to 4 of 22
+        takes 142: 18 while driving w to the summit (6 cycling steps, each
+        a product that slides u into the suffix of a normal form, and 12
+        conjugator products, one per step), 2 to verify the seed's
+        conjugator, 2 per edge for the other 61 elements. Reading pairs
+        adds 185: 61 conjugator products and 2 verification products per
+        element. classify takes 211: 3 for the powers in is_periodic, the
+        set's 142, and powers up to 4 of 22
         elements, 3 products each: the 14 that linking numbers leave on
         (1, 2), and the 8 they leave on (2, 3). The result is
         pseudo-Anosov, so no witness conjugator is built. The closure
@@ -400,13 +402,13 @@ class TestSuperSummitSet:
         monkeypatch.setattr(_kernel, "conjugate_batch", counted_batch)
         w = parse_word("4: 2 1 1 -2 -2 3 3 -1 -2")
         sss = super_summit_set(w)
-        assert (len(sss), len(calls)) == (62, 136)
+        assert (len(sss), len(calls)) == (62, 142)
         assert (len(batches), sum(batches)) == (31, 61)
         sss.pairs
-        assert len(calls) == 136 + 185
+        assert len(calls) == 142 + 185
         calls.clear()
         assert classify(w).kind == "pseudo_anosov"
-        assert len(calls) == 205
+        assert len(calls) == 211
 
 
 def _minimal_simples(n, key, memo, kernel=_kernel):
@@ -731,6 +733,34 @@ class TestAreConjugate:
         cert = are_conjugate(a, b, max_sss=1)
         assert cert is not None and cert.verifies(a, b)
 
+    def test_a_wrong_conjugator_fails_the_recheck(self, monkeypatch):
+        """The certificate is re-checked through the word it spells: a
+        speller that drops every letter makes c a c^-1 = a, not b."""
+        monkeypatch.setattr(garside, "_word_of_key", lambda n, key: ())
+        with pytest.raises(
+            RuntimeError, match="internal error: conjugacy certificate failed verification"
+        ):
+            are_conjugate(BraidWord(3, (1,)), BraidWord(3, (2,)))
+
+    def test_each_word_is_normalized_once(self, monkeypatch):
+        """A conjugate decision normalizes a, b and the re-check word
+        c a c^-1 once each, and compares that word with b's key."""
+        words = []
+        nf_of_word = garside._nf_of_word
+
+        def counted(w):
+            words.append(w)
+            return nf_of_word(w)
+
+        monkeypatch.setattr(garside, "_nf_of_word", counted)
+        a = random_word(4, 10, 27)
+        g = random_word(4, 8, 2027)
+        b = concat(g, a, invert_word(g))
+        cert = are_conjugate(a, b)
+        assert cert is not None
+        c = cert.conjugator
+        assert words == [a, b, concat(c, a, invert_word(c))]
+
 
 class TestNormalFormValidation:
     def test_rejects_non_left_weighted(self):
@@ -955,6 +985,90 @@ class TestDriveToSummit:
             assert (key[0], key[0] + len(key[1])) == self.bound_only(n, w_key)
             assert key in dict(super_summit_set(w).pairs)
             assert _mul(n, _mul(n, track, w_key), _inverse(n, *track)) == key
+
+
+    @staticmethod
+    def cycle_by_normalize(n, key, kernel):
+        """One cycling step with the whole conjugate normalized again."""
+        p, flat = key
+        u = _tau_flat(n, flat[:n]) if p % 2 else flat[:n]
+        return kernel.normalize(n, p, flat[n:] + u), u
+
+    @classmethod
+    def left_multiplied(cls, n, key, kernel):
+        """The drive as it was before the track was kept as its inverse:
+        cycling renormalizes the whole conjugate, and every step multiplies
+        the track on the left by the step's conjugator, u^-1 or u."""
+        track = (0, b"")
+        bound = max(1, n * (n - 1) // 2)
+        cycle = functools.partial(cls.cycle_by_normalize, kernel=kernel)
+        phases = (
+            (cycle, lambda x: -x[0], lambda u: _inverse(n, 0, u)),
+            (_decycle_key, lambda x: x[0] + len(x[1]), lambda u: (0, u)),
+        )
+        for step, score, conjugator in phases:
+            fails = 0
+            orbit = {key}
+            while key[1] and fails < bound:
+                old = score(key)
+                key, u = step(n, key)
+                track = kernel.multiply(n, *conjugator(u), *track)
+                if score(key) < old:
+                    fails = 0
+                    orbit.clear()
+                elif key in orbit:
+                    break
+                else:
+                    fails += 1
+                orbit.add(key)
+        return key, track
+
+    @staticmethod
+    def drive_words():
+        """Seeded words of B_1..B_7: the empty word, Delta powers, periodic
+        words and their conjugates, and long random words."""
+        rng = random.Random(27)
+        for n in range(1, 8):
+            yield BraidWord(n)
+            if n == 1:
+                continue
+            delta = delta_word(n).letters
+            rotation = tuple(range(1, n))
+            for k in (-3, -1, 1, 2):
+                yield BraidWord(n, delta * k if k > 0 else tuple(-g for g in delta) * -k)
+                for root in (rotation, rotation + (1,)):
+                    inverse = tuple(-g for g in reversed(root))
+                    periodic = BraidWord(n, root * k if k > 0 else inverse * -k)
+                    yield periodic
+                    c = random_word(n, rng.randint(1, 12), rng.randrange(2**32))
+                    yield concat(c, periodic, invert_word(c))
+            for _ in range(12):
+                yield random_word(n, rng.randint(20, 80), rng.randrange(2**32))
+
+    def check_against_left_multiplied(self, monkeypatch, kernel):
+        """On every backend, the drive's (key, track) is the left-multiplied
+        loop's, and each cycling step is the renormalized conjugate."""
+        for name in ("normalize", "multiply"):
+            monkeypatch.setattr(_kernel, name, getattr(kernel, name))
+        steps = 0
+        for w in self.drive_words():
+            n = w.strands
+            key = _nf_of_word(w)
+            assert _drive_to_summit(n, key) == self.left_multiplied(n, key, kernel)
+            for _ in range(20):
+                if not key[1]:
+                    break
+                cycled = _cycle_key(n, key)
+                assert cycled == self.cycle_by_normalize(n, key, kernel)
+                key = cycled[0]
+                steps += 1
+        assert steps > 2000
+
+    def test_matches_the_left_multiplied_loop(self, monkeypatch):
+        self.check_against_left_multiplied(monkeypatch, _native)
+
+    def test_matches_the_left_multiplied_loop_compiled(self, monkeypatch, speedups):
+        self.check_against_left_multiplied(monkeypatch, speedups)
 
 
 class TestMinimalSimples:

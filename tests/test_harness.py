@@ -25,6 +25,7 @@ from braidkit import (
     lift_witness,
     verify_nonmerging,
 )
+from braidkit import harness
 from braidkit.harness import (
     render_boundary_json,
     render_boundary_records,
@@ -192,6 +193,34 @@ class TestReportModel:
         text = render_boundary_text(summary)
         assert "  FAIL trial 0: boundary curve not preserved: 2: 1\n" in text
         assert render_boundary_records(summary).endswith("failures=2\n")
+
+    def test_each_document_counts_once(self, monkeypatch):
+        """A render counts the reports into the tallies once, and lists a
+        boundary suite's failures once, however many summary fields read
+        them."""
+        tallied = []
+        listed = []
+        tally = harness._tally
+        failures = BoundarySummary.failures
+
+        def counted_tally(reports, tests):
+            tallied.append(tests)
+            return tally(reports, tests)
+
+        def counted_failures(summary):
+            listed.append(summary)
+            return failures.fget(summary)
+
+        monkeypatch.setattr(harness, "_tally", counted_tally)
+        monkeypatch.setattr(BoundarySummary, "failures", property(counted_failures))
+        cfg = SuiteConfig(**{**BASE, "trials": 2})
+        verify = VerifySummary(cfg, (TrialReport(cfg, 0, skip_reason="resource-limit: cap"),))
+        assert verify.document()["summary"]["exit_code"] == 3
+        assert len(tallied) == 1
+        reports = (BoundaryReport(0, BraidWord(2, (1,)), boundary_preserved=False, periodic=True),)
+        boundary = BoundarySummary(2, 4, 1, seed=0, maxlen=1, reports=reports)
+        assert boundary.document()["summary"]["exit_code"] == 1
+        assert (len(tallied), len(listed)) == (2, 1)
 
 
 class TestReportsDeriveTheirPair:
